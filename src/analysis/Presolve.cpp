@@ -31,45 +31,27 @@ std::string_view analysis::toString(PresolveVerdict V) {
 
 namespace {
 
-/// Kleene truth value under the current ranges/assignments: True means
-/// true in every model consistent with them.
-enum class Tri : uint8_t { False, True, Unknown };
-
-Tri triOf(bool B) { return B ? Tri::True : Tri::False; }
-
-/// a <= b from operand intervals. Empty operands yield Unknown: the
-/// contraction entry check reports the contradiction with better
-/// provenance.
-Tri cmpLe(const Interval &A, const Interval &B) {
-  if (A.Empty || B.Empty)
-    return Tri::Unknown;
-  if (A.Hi && B.Lo && *A.Hi <= *B.Lo)
-    return Tri::True;
-  if (A.Lo && B.Hi && *B.Hi < *A.Lo)
-    return Tri::False;
-  return Tri::Unknown;
+/// Every variable of \p Roots, in first-seen order (deterministic
+/// materialization).
+std::vector<Term> firstSeenVars(const TermManager &M,
+                                const std::vector<Term> &Roots) {
+  std::vector<Term> Vars;
+  std::unordered_set<uint32_t> Seen;
+  for (Term Root : Roots)
+    for (Term Var : M.collectVariables(Root))
+      if (Seen.insert(Var.id()).second)
+        Vars.push_back(Var);
+  return Vars;
 }
-
-Tri cmpLt(const Interval &A, const Interval &B) {
-  if (A.Empty || B.Empty)
-    return Tri::Unknown;
-  if (A.Hi && B.Lo && *A.Hi < *B.Lo)
-    return Tri::True;
-  if (A.Lo && B.Hi && *B.Hi <= *A.Lo)
-    return Tri::False;
-  return Tri::Unknown;
-}
-
-bool isNumericSort(const Sort &S) { return S.isInt() || S.isReal(); }
 
 /// The whole pass lives in one stateful engine: flatten, fixpoint
-/// (forward tri-state evaluation + backward HC4 contraction), Boolean
-/// simplification, then verdict/materialization.
+/// (forward evaluation by the shared IntervalEvaluator + backward HC4
+/// contraction), Boolean simplification, then verdict/materialization.
 class Engine {
 public:
   Engine(TermManager &M, const std::vector<Term> &Roots,
          const PresolveOptions &Opts)
-      : M(M), Roots(Roots), Opts(Opts) {}
+      : M(M), Roots(Roots), Opts(Opts), Eval(M, firstSeenVars(M, Roots)) {}
 
   PresolveResult run();
 
@@ -86,19 +68,13 @@ private:
     bool Dropped = false;
   };
   std::vector<Conjunct> Conjuncts;
-  /// Contracted ranges of numeric variables (absent = top).
-  std::unordered_map<uint32_t, Interval> Ranges;
-  /// Pinned Bool variables (unit propagation, pure literals).
-  std::unordered_map<uint32_t, bool> BoolAssign;
+  /// Forward evaluation over the contracted ranges of numeric variables
+  /// and the pinned Bool variables (unit propagation, pure literals);
+  /// its slots are every variable of the input, in first-seen order.
+  IntervalEvaluator Eval;
   /// Original assertion indices that contributed to a variable's
   /// narrowing (certificate provenance).
   std::unordered_map<uint32_t, std::set<unsigned>> Sources;
-  /// Forward-evaluation memo; cleared whenever a range or assignment
-  /// changes.
-  std::unordered_map<uint32_t, Interval> Memo;
-  /// All variables of the input, in first-seen order (deterministic
-  /// materialization).
-  std::vector<Term> Vars;
 
   /// Feasible per-variable points from the last zone closure (the
   /// shortest-distance potential function); pickValue() prefers them for
@@ -122,7 +98,7 @@ private:
 
   void invalidate() {
     Changed = true;
-    Memo.clear();
+    Eval.invalidate();
   }
 
   void flatten(Term T, unsigned Root) {
@@ -134,13 +110,6 @@ private:
     Conjuncts.push_back({T, Root});
   }
 
-  Interval rangeOf(Term Var) const {
-    auto It = Ranges.find(Var.id());
-    return It == Ranges.end() ? Interval::top() : It->second;
-  }
-
-  Interval iv(Term T);
-  Tri tri(Term T);
   void contractFormula(Term T, bool Target, unsigned CIdx);
   void contractCompare(Kind K, Term A, Term B, bool Target, unsigned CIdx);
   void contractTerm(Term T, const Interval &Target, unsigned CIdx);
@@ -161,244 +130,17 @@ private:
 };
 
 //===--------------------------------------------------------------------===//
-// Forward evaluation.
-//===--------------------------------------------------------------------===//
-
-Interval Engine::iv(Term T) {
-  auto Found = Memo.find(T.id());
-  if (Found != Memo.end())
-    return Found->second;
-
-  Interval R = Interval::top();
-  switch (M.kind(T)) {
-  case Kind::ConstInt:
-    R = Interval::point(Rational(M.intValue(T)));
-    break;
-  case Kind::ConstReal:
-    R = Interval::point(M.realValue(T));
-    break;
-  case Kind::Variable:
-    R = rangeOf(T);
-    break;
-  case Kind::Neg:
-    R = negI(iv(M.child(T, 0)));
-    break;
-  case Kind::IntAbs:
-    R = absI(iv(M.child(T, 0)));
-    break;
-  case Kind::Add: {
-    R = iv(M.child(T, 0));
-    for (unsigned I = 1; I < M.numChildren(T); ++I)
-      R = addI(R, iv(M.child(T, I)));
-    break;
-  }
-  case Kind::Sub: {
-    R = iv(M.child(T, 0));
-    for (unsigned I = 1; I < M.numChildren(T); ++I)
-      R = subI(R, iv(M.child(T, I)));
-    break;
-  }
-  case Kind::Mul: {
-    // Group identical factors so even powers are known non-negative
-    // (plain interval products lose the x*x dependency).
-    std::vector<std::pair<uint32_t, unsigned>> Groups;
-    for (Term Child : M.children(T)) {
-      bool Seen = false;
-      for (auto &[Id, Count] : Groups)
-        if (Id == Child.id()) {
-          ++Count;
-          Seen = true;
-          break;
-        }
-      if (!Seen)
-        Groups.emplace_back(Child.id(), 1);
-    }
-    bool First = true;
-    for (const auto &[Id, Count] : Groups) {
-      Interval Factor = powFullI(iv(Term(Id)), Count);
-      R = First ? Factor : mulFullI(R, Factor);
-      First = false;
-    }
-    break;
-  }
-  case Kind::RealDiv:
-    // divFullI is top when the divisor may be zero: solvers treat
-    // division by zero as unconstrained, so no narrowing is sound.
-    R = divFullI(iv(M.child(T, 0)), iv(M.child(T, 1)));
-    break;
-  case Kind::IntDiv: {
-    Interval Q = divFullI(iv(M.child(T, 0)), iv(M.child(T, 1)));
-    // Euclidean division: real-division hull +-1.
-    if (!Q.Empty) {
-      if (Q.Lo)
-        Q.Lo = *Q.Lo - Rational(1);
-      if (Q.Hi)
-        Q.Hi = *Q.Hi + Rational(1);
-    }
-    R = Q;
-    break;
-  }
-  case Kind::IntMod: {
-    Interval Divisor = iv(M.child(T, 1));
-    if (!Divisor.Empty && !Divisor.contains(Rational(0))) {
-      // Euclidean remainder: 0 <= mod < |divisor|.
-      Interval AbsDiv = absI(Divisor);
-      R.Lo = Rational(0);
-      if (AbsDiv.Hi)
-        R.Hi = *AbsDiv.Hi - Rational(1);
-    }
-    break;
-  }
-  case Kind::Ite: {
-    Tri Cond = tri(M.child(T, 0));
-    if (Cond == Tri::True)
-      R = iv(M.child(T, 1));
-    else if (Cond == Tri::False)
-      R = iv(M.child(T, 2));
-    else
-      R = hull(iv(M.child(T, 1)), iv(M.child(T, 2)));
-    break;
-  }
-  default:
-    break;
-  }
-  if (M.sort(T).isInt())
-    R = roundToIntI(R);
-  Memo.emplace(T.id(), R);
-  return R;
-}
-
-Tri Engine::tri(Term T) {
-  switch (M.kind(T)) {
-  case Kind::ConstBool:
-    return triOf(M.boolValue(T));
-  case Kind::Variable: {
-    auto It = BoolAssign.find(T.id());
-    return It == BoolAssign.end() ? Tri::Unknown : triOf(It->second);
-  }
-  case Kind::Not: {
-    Tri Inner = tri(M.child(T, 0));
-    if (Inner == Tri::Unknown)
-      return Tri::Unknown;
-    return Inner == Tri::True ? Tri::False : Tri::True;
-  }
-  case Kind::And: {
-    bool AnyUnknown = false;
-    for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
-      if (V == Tri::False)
-        return Tri::False;
-      if (V == Tri::Unknown)
-        AnyUnknown = true;
-    }
-    return AnyUnknown ? Tri::Unknown : Tri::True;
-  }
-  case Kind::Or: {
-    bool AnyUnknown = false;
-    for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
-      if (V == Tri::True)
-        return Tri::True;
-      if (V == Tri::Unknown)
-        AnyUnknown = true;
-    }
-    return AnyUnknown ? Tri::Unknown : Tri::False;
-  }
-  case Kind::Implies: {
-    Tri A = tri(M.child(T, 0)), B = tri(M.child(T, 1));
-    if (A == Tri::False || B == Tri::True)
-      return Tri::True;
-    if (A == Tri::True && B == Tri::False)
-      return Tri::False;
-    return Tri::Unknown;
-  }
-  case Kind::Xor: {
-    bool Acc = false;
-    for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
-      if (V == Tri::Unknown)
-        return Tri::Unknown;
-      Acc = Acc != (V == Tri::True);
-    }
-    return triOf(Acc);
-  }
-  case Kind::Eq: {
-    if (M.sort(M.child(T, 0)).isBool()) {
-      Tri First = tri(M.child(T, 0));
-      bool AllKnown = First != Tri::Unknown;
-      for (unsigned I = 1; I < M.numChildren(T); ++I) {
-        Tri V = tri(M.child(T, I));
-        if (V == Tri::Unknown)
-          AllKnown = false;
-        else if (First != Tri::Unknown && V != First)
-          return Tri::False;
-      }
-      return AllKnown ? Tri::True : Tri::Unknown;
-    }
-    if (!isNumericSort(M.sort(M.child(T, 0))))
-      return Tri::Unknown;
-    bool AllEqualPoints = true;
-    Interval First = iv(M.child(T, 0));
-    for (unsigned I = 1; I < M.numChildren(T); ++I) {
-      Interval V = iv(M.child(T, I));
-      if (meet(First, V).Empty)
-        return Tri::False;
-      if (!(First.isFinite() && First.Lo == First.Hi && V.isFinite() &&
-            V.Lo == V.Hi && *First.Lo == *V.Lo))
-        AllEqualPoints = false;
-    }
-    return AllEqualPoints ? Tri::True : Tri::Unknown;
-  }
-  case Kind::Distinct: {
-    if (!isNumericSort(M.sort(M.child(T, 0))))
-      return Tri::Unknown;
-    bool AllDisjoint = true;
-    for (unsigned I = 0; I < M.numChildren(T); ++I)
-      for (unsigned J = I + 1; J < M.numChildren(T); ++J) {
-        Interval A = iv(M.child(T, I)), B = iv(M.child(T, J));
-        if (A.Empty || B.Empty)
-          return Tri::Unknown;
-        if (A.isFinite() && A.Lo == A.Hi && B.isFinite() && B.Lo == B.Hi &&
-            *A.Lo == *B.Lo)
-          return Tri::False;
-        if (!meet(A, B).Empty)
-          AllDisjoint = false;
-      }
-    return AllDisjoint ? Tri::True : Tri::Unknown;
-  }
-  case Kind::Le:
-    return cmpLe(iv(M.child(T, 0)), iv(M.child(T, 1)));
-  case Kind::Lt:
-    return cmpLt(iv(M.child(T, 0)), iv(M.child(T, 1)));
-  case Kind::Ge:
-    return cmpLe(iv(M.child(T, 1)), iv(M.child(T, 0)));
-  case Kind::Gt:
-    return cmpLt(iv(M.child(T, 1)), iv(M.child(T, 0)));
-  case Kind::Ite: {
-    Tri Cond = tri(M.child(T, 0));
-    if (Cond == Tri::True)
-      return tri(M.child(T, 1));
-    if (Cond == Tri::False)
-      return tri(M.child(T, 2));
-    Tri Then = tri(M.child(T, 1)), Else = tri(M.child(T, 2));
-    return Then == Else ? Then : Tri::Unknown;
-  }
-  default:
-    return Tri::Unknown;
-  }
-}
-
-//===--------------------------------------------------------------------===//
 // Backward contraction.
 //===--------------------------------------------------------------------===//
 
 void Engine::assignBool(Term Var, bool V, unsigned CIdx) {
-  auto [It, Inserted] = BoolAssign.try_emplace(Var.id(), V);
-  if (!Inserted) {
-    if (It->second != V)
+  Tri &Cur = Eval.Bools[Eval.slot(Var)];
+  if (Cur != Tri::Unknown) {
+    if ((Cur == Tri::True) != V)
       fail(CIdx);
     return;
   }
+  Cur = V ? Tri::True : Tri::False;
   Sources[Var.id()].insert(Conjuncts[CIdx].Root);
   invalidate();
 }
@@ -431,7 +173,7 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
     unsigned Unknowns = 0;
     Term Open = T;
     for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
+      Tri V = Eval.tri(Child);
       if (V == Tri::False)
         return; // Already false.
       if (V == Tri::Unknown) {
@@ -457,7 +199,7 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
     unsigned Unknowns = 0;
     Term Open = T;
     for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
+      Tri V = Eval.tri(Child);
       if (V == Tri::True)
         return; // Already true.
       if (V == Tri::Unknown) {
@@ -479,9 +221,9 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
         contractFormula(B, false, CIdx);
       return;
     }
-    if (tri(A) == Tri::True)
+    if (Eval.tri(A) == Tri::True)
       contractFormula(B, true, CIdx);
-    else if (tri(B) == Tri::False)
+    else if (Eval.tri(B) == Tri::False)
       contractFormula(A, false, CIdx);
     return;
   }
@@ -489,7 +231,7 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
     if (M.numChildren(T) != 2)
       return;
     Term A = M.child(T, 0), B = M.child(T, 1);
-    Tri VA = tri(A), VB = tri(B);
+    Tri VA = Eval.tri(A), VB = Eval.tri(B);
     // Target = a xor b  =>  b = a xor Target.
     if (VA != Tri::Unknown)
       contractFormula(B, (VA == Tri::True) != Target, CIdx);
@@ -504,8 +246,8 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
         // All children equal: any known child pins the rest.
         Tri Known = Tri::Unknown;
         for (Term Child : M.children(T))
-          if (tri(Child) != Tri::Unknown) {
-            Known = tri(Child);
+          if (Eval.tri(Child) != Tri::Unknown) {
+            Known = Eval.tri(Child);
             break;
           }
         if (Known == Tri::Unknown)
@@ -517,19 +259,19 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
         }
       } else if (M.numChildren(T) == 2) {
         Term A = C0, B = M.child(T, 1);
-        if (tri(A) != Tri::Unknown)
-          contractFormula(B, tri(A) != Tri::True, CIdx);
-        else if (tri(B) != Tri::Unknown)
-          contractFormula(A, tri(B) != Tri::True, CIdx);
+        if (Eval.tri(A) != Tri::Unknown)
+          contractFormula(B, Eval.tri(A) != Tri::True, CIdx);
+        else if (Eval.tri(B) != Tri::Unknown)
+          contractFormula(A, Eval.tri(B) != Tri::True, CIdx);
       }
       return;
     }
-    if (!isNumericSort(M.sort(C0)))
+    if (!M.sort(C0).isUnbounded())
       return;
     if (Target) {
-      Interval Meet = iv(C0);
+      Interval Meet = Eval.iv(C0);
       for (unsigned I = 1; I < M.numChildren(T); ++I)
-        Meet = meet(Meet, iv(M.child(T, I)));
+        Meet = meet(Meet, Eval.iv(M.child(T, I)));
       for (Term Child : M.childrenCopy(T)) {
         contractTerm(Child, Meet, CIdx);
         if (Failed)
@@ -543,7 +285,7 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
     return;
   }
   case Kind::Distinct: {
-    if (M.numChildren(T) != 2 || !isNumericSort(M.sort(M.child(T, 0))))
+    if (M.numChildren(T) != 2 || !M.sort(M.child(T, 0)).isUnbounded())
       return;
     Term A = M.child(T, 0), B = M.child(T, 1);
     if (Target) {
@@ -551,7 +293,7 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
       if (!Failed)
         shaveNeq(B, A, CIdx);
     } else {
-      Interval Meet = meet(iv(A), iv(B));
+      Interval Meet = meet(Eval.iv(A), Eval.iv(B));
       contractTerm(A, Meet, CIdx);
       if (!Failed)
         contractTerm(B, Meet, CIdx);
@@ -566,13 +308,13 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
     return;
   case Kind::Ite: {
     Term Cond = M.child(T, 0), Then = M.child(T, 1), Else = M.child(T, 2);
-    Tri C = tri(Cond);
+    Tri C = Eval.tri(Cond);
     if (C == Tri::True) {
       contractFormula(Then, Target, CIdx);
     } else if (C == Tri::False) {
       contractFormula(Else, Target, CIdx);
     } else {
-      Tri TThen = tri(Then), TElse = tri(Else);
+      Tri TThen = Eval.tri(Then), TElse = Eval.tri(Else);
       if (TThen != Tri::Unknown && (TThen == Tri::True) != Target) {
         // The then-branch cannot produce Target: the condition is false.
         contractFormula(Cond, false, CIdx);
@@ -626,14 +368,14 @@ void Engine::contractCompare(Kind K, Term A, Term B, bool Target,
   bool TightenByOne = IntSorted && (Strict || Opts.InjectBadContract);
 
   Interval UpperForA = Interval::top();
-  if (Interval IB = iv(B); IB.Hi) {
+  if (Interval IB = Eval.iv(B); IB.Hi) {
     UpperForA.Hi = TightenByOne ? *IB.Hi - Rational(1) : *IB.Hi;
   }
   contractTerm(A, UpperForA, CIdx);
   if (Failed)
     return;
   Interval LowerForB = Interval::top();
-  if (Interval IA = iv(A); IA.Lo) {
+  if (Interval IA = Eval.iv(A); IA.Lo) {
     LowerForB.Lo = TightenByOne ? *IA.Lo + Rational(1) : *IA.Lo;
   }
   contractTerm(B, LowerForB, CIdx);
@@ -644,11 +386,11 @@ void Engine::shaveNeq(Term X, Term Other, unsigned CIdx) {
   // endpoints off X's range.
   if (!M.sort(X).isInt())
     return;
-  Interval IO = iv(Other);
+  Interval IO = Eval.iv(Other);
   if (!(IO.isFinite() && IO.Lo == IO.Hi))
     return;
   const Rational &P = *IO.Lo;
-  Interval IX = iv(X);
+  Interval IX = Eval.iv(X);
   if (IX.Empty)
     return;
   if (IX.Lo && *IX.Lo == P) {
@@ -665,7 +407,7 @@ void Engine::shaveNeq(Term X, Term Other, unsigned CIdx) {
 void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
   if (Failed)
     return;
-  Interval Cur = iv(T);
+  Interval Cur = Eval.iv(T);
   Interval R = meet(Cur, Target);
   if (M.sort(T).isInt())
     R = roundToIntI(R);
@@ -678,7 +420,7 @@ void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
 
   switch (M.kind(T)) {
   case Kind::Variable: {
-    Ranges[T.id()] = R;
+    Eval.Ranges[Eval.slot(T)] = R;
     Sources[T.id()].insert(Conjuncts[CIdx].Root);
     invalidate();
     return;
@@ -697,7 +439,7 @@ void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
       for (unsigned J = 0; J < N; ++J) {
         if (J == I)
           continue;
-        Interval C = iv(M.child(T, J));
+        Interval C = Eval.iv(M.child(T, J));
         Others = First ? C : addI(Others, C);
         First = false;
       }
@@ -714,7 +456,7 @@ void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
     unsigned N = M.numChildren(T);
     Interval Tail = Interval::point(Rational(0));
     for (unsigned J = 1; J < N; ++J)
-      Tail = addI(Tail, iv(M.child(T, J)));
+      Tail = addI(Tail, Eval.iv(M.child(T, J)));
     contractTerm(M.child(T, 0), backSubLeft(R, Tail), CIdx);
     if (Failed)
       return;
@@ -722,9 +464,9 @@ void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
       Interval OthersTail = Interval::point(Rational(0));
       for (unsigned J = 1; J < N; ++J)
         if (J != I)
-          OthersTail = addI(OthersTail, iv(M.child(T, J)));
+          OthersTail = addI(OthersTail, Eval.iv(M.child(T, J)));
       // Left = c0 minus the other tail terms; value = Left - ci.
-      Interval Left = subI(iv(M.child(T, 0)), OthersTail);
+      Interval Left = subI(Eval.iv(M.child(T, 0)), OthersTail);
       contractTerm(M.child(T, I), backSubRight(R, Left), CIdx);
       if (Failed)
         return;
@@ -734,26 +476,15 @@ void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
   case Kind::Mul: {
     // Narrow only degree-1 factors: inverting x^k needs k-th roots,
     // which exact rationals do not close over.
-    std::vector<std::pair<uint32_t, unsigned>> Groups;
-    for (Term Child : M.children(T)) {
-      bool Seen = false;
-      for (auto &[Id, Count] : Groups)
-        if (Id == Child.id()) {
-          ++Count;
-          Seen = true;
-          break;
-        }
-      if (!Seen)
-        Groups.emplace_back(Child.id(), 1);
-    }
-    for (const auto &[Id, Count] : Groups) {
+    auto Groups = groupFactors(M, T);
+    for (const auto &[Factor, Count] : Groups) {
       if (Count != 1)
         continue;
       Interval OthProd = Interval::point(Rational(1));
-      for (const auto &[OId, OCount] : Groups)
-        if (OId != Id)
-          OthProd = mulFullI(OthProd, powFullI(iv(Term(OId)), OCount));
-      contractTerm(Term(Id), backMulOperand(R, OthProd), CIdx);
+      for (const auto &[Other, OCount] : Groups)
+        if (Other != Factor)
+          OthProd = mulFullI(OthProd, powFullI(Eval.iv(Other), OCount));
+      contractTerm(Factor, backMulOperand(R, OthProd), CIdx);
       if (Failed)
         return;
     }
@@ -761,29 +492,29 @@ void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
   }
   case Kind::RealDiv: {
     Term A = M.child(T, 0), B = M.child(T, 1);
-    Interval IB = iv(B);
+    Interval IB = Eval.iv(B);
     if (IB.Empty || IB.contains(Rational(0)))
       return; // Division may be unconstrained: no narrowing is sound.
     contractTerm(A, mulFullI(R, IB), CIdx);
     if (Failed)
       return;
-    contractTerm(B, divFullI(iv(A), R), CIdx);
+    contractTerm(B, divFullI(Eval.iv(A), R), CIdx);
     return;
   }
   case Kind::IntDiv:
-    contractTerm(M.child(T, 0), backIntDivDividend(R, iv(M.child(T, 1))),
+    contractTerm(M.child(T, 0), backIntDivDividend(R, Eval.iv(M.child(T, 1))),
                  CIdx);
     return;
   case Kind::Ite: {
     Term Cond = M.child(T, 0), Then = M.child(T, 1), Else = M.child(T, 2);
-    Tri C = tri(Cond);
+    Tri C = Eval.tri(Cond);
     if (C == Tri::True) {
       contractTerm(Then, R, CIdx);
     } else if (C == Tri::False) {
       contractTerm(Else, R, CIdx);
     } else {
-      bool ThenEmpty = meet(iv(Then), R).Empty;
-      bool ElseEmpty = meet(iv(Else), R).Empty;
+      bool ThenEmpty = meet(Eval.iv(Then), R).Empty;
+      bool ElseEmpty = meet(Eval.iv(Else), R).Empty;
       if (ThenEmpty && ElseEmpty) {
         fail(CIdx);
       } else if (ThenEmpty) {
@@ -857,23 +588,24 @@ void Engine::pureLiteralPass() {
       polarity(C.T, PolPos, Pol, Seen);
   bool Assigned = false;
   for (const auto &[Id, Mode] : Pol) {
-    if (BoolAssign.count(Id))
+    Tri &Cur = Eval.Bools[Eval.slot(Term(Id))];
+    if (Cur != Tri::Unknown)
       continue;
     if (Mode == PolPos)
-      BoolAssign.emplace(Id, true);
+      Cur = Tri::True;
     else if (Mode == PolNeg)
-      BoolAssign.emplace(Id, false);
+      Cur = Tri::False;
     else
       continue;
     Assigned = true;
   }
   if (!Assigned)
     return;
-  Memo.clear();
+  Eval.invalidate();
   // Pure assignments are satisfiability-preserving choices, not entailed
   // facts: they may only *drop* conjuncts, never conclude unsat.
   for (Conjunct &C : Conjuncts)
-    if (!C.Dropped && tri(C.T) == Tri::True)
+    if (!C.Dropped && Eval.tri(C.T) == Tri::True)
       C.Dropped = true;
 }
 
@@ -896,14 +628,13 @@ bool Engine::relationalPass() {
   // entirely on relation-free systems.
   if (Z.numVariables() == 0 || !Z.hasBinaryConstraints())
     return false;
-  for (Term Var : Vars) {
-    if (!Z.hasVariable(Var.id()))
-      continue;
-    auto It = Ranges.find(Var.id());
-    if (It == Ranges.end())
+  const std::vector<Term> &Vars = Eval.vars();
+  for (unsigned Slot = 0; Slot < Vars.size(); ++Slot) {
+    Term Var = Vars[Slot];
+    if (!Z.hasVariable(Var.id()) || Eval.Ranges[Slot].isTop())
       continue;
     auto SIt = Sources.find(Var.id());
-    Z.constrainVar(Var.id(), It->second,
+    Z.constrainVar(Var.id(), Eval.Ranges[Slot],
                    SIt != Sources.end() ? SIt->second : std::set<unsigned>{});
   }
   Z.close(Opts.InjectBadClosure);
@@ -916,12 +647,13 @@ bool Engine::relationalPass() {
     return false;
   }
   bool Tightened = false;
-  for (Term Var : Vars) {
+  for (unsigned Slot = 0; Slot < Vars.size(); ++Slot) {
+    Term Var = Vars[Slot];
     if (!Z.hasVariable(Var.id()))
       continue;
     Interval Proj = Z.varInterval(Var.id());
     if (!Proj.isTop()) {
-      Interval Cur = rangeOf(Var);
+      const Interval &Cur = Eval.Ranges[Slot];
       Interval R = meet(Cur, Proj);
       if (M.sort(Var).isInt())
         R = roundToIntI(R);
@@ -935,7 +667,7 @@ bool Engine::relationalPass() {
         return false;
       }
       if (!(R == Cur)) {
-        Ranges[Var.id()] = R;
+        Eval.Ranges[Slot] = R;
         std::set<unsigned> Src = Z.varIntervalSources(Var.id());
         Sources[Var.id()].insert(Src.begin(), Src.end());
         invalidate();
@@ -954,11 +686,9 @@ bool Engine::relationalPass() {
 
 Value Engine::pickValue(Term Var) const {
   const Sort &S = M.sort(Var);
-  if (S.isBool()) {
-    auto It = BoolAssign.find(Var.id());
-    return Value(It != BoolAssign.end() && It->second);
-  }
-  Interval R = rangeOf(Var);
+  if (S.isBool())
+    return Value(Eval.Bools[Eval.slot(Var)] == Tri::True);
+  const Interval &R = Eval.Ranges[Eval.slot(Var)];
   // An unbounded range gives zero-or-endpoint no information to work
   // with; the zone potential is a point that jointly satisfies every
   // closed difference constraint, so prefer it there.
@@ -983,7 +713,7 @@ Value Engine::pickValue(Term Var) const {
 }
 
 void Engine::buildSuggested(PresolveResult &R) const {
-  for (Term Var : Vars)
+  for (Term Var : Eval.vars())
     R.Suggested.set(Var, pickValue(Var));
 }
 
@@ -1012,20 +742,19 @@ void Engine::materialize(PresolveResult &Out) {
   for (const Conjunct &C : Conjuncts)
     if (!C.Dropped)
       Out.Assertions.push_back(C.T);
-  for (Term Var : Vars) {
+  const std::vector<Term> &Vars = Eval.vars();
+  for (unsigned Slot = 0; Slot < Vars.size(); ++Slot) {
+    Term Var = Vars[Slot];
     const Sort &S = M.sort(Var);
     if (S.isBool()) {
-      auto It = BoolAssign.find(Var.id());
-      if (It != BoolAssign.end())
-        Out.Assertions.push_back(It->second ? Var : M.mkNot(Var));
+      if (Eval.Bools[Slot] != Tri::Unknown)
+        Out.Assertions.push_back(Eval.Bools[Slot] == Tri::True ? Var
+                                                               : M.mkNot(Var));
       continue;
     }
-    if (!isNumericSort(S))
+    const Interval &R = Eval.Ranges[Slot];
+    if (!S.isUnbounded() || R.isTop())
       continue;
-    auto It = Ranges.find(Var.id());
-    if (It == Ranges.end() || It->second.isTop())
-      continue;
-    const Interval &R = It->second;
     if (R.Lo) {
       Term Const = S.isInt() ? M.mkIntConst(R.Lo->ceil())
                              : M.mkRealConst(*R.Lo);
@@ -1046,13 +775,6 @@ PresolveResult Engine::run() {
 
   for (unsigned I = 0; I < Roots.size(); ++I)
     flatten(Roots[I], I);
-  {
-    std::unordered_set<uint32_t> SeenVars;
-    for (Term Root : Roots)
-      for (Term Var : M.collectVariables(Root))
-        if (SeenVars.insert(Var.id()).second)
-          Vars.push_back(Var);
-  }
 
   unsigned Round = 0;
   unsigned RelPasses = 0;
@@ -1064,7 +786,7 @@ PresolveResult Engine::run() {
         Conjunct &C = Conjuncts[CI];
         if (C.Dropped)
           continue;
-        switch (tri(C.T)) {
+        switch (Eval.tri(C.T)) {
         case Tri::True:
           C.Dropped = true;
           Changed = true;
@@ -1092,13 +814,13 @@ PresolveResult Engine::run() {
       break;
   }
   Out.Stats.Rounds = Round;
+  for (const Interval &R : Eval.Ranges)
+    if (!R.isTop())
+      ++Out.Stats.VarsContracted;
 
   if (Failed) {
     Out.Stats.Verdict = PresolveVerdict::TriviallyUnsat;
     buildCertificate(Out);
-    for (const auto &[Id, R] : Ranges)
-      if (!R.isTop())
-        ++Out.Stats.VarsContracted;
     return Out;
   }
 
@@ -1107,10 +829,10 @@ PresolveResult Engine::run() {
   for (const Conjunct &C : Conjuncts)
     if (C.Dropped)
       ++Out.Stats.AssertionsDropped;
-  for (const auto &[Id, R] : Ranges)
-    if (!R.isTop())
-      ++Out.Stats.VarsContracted;
-  Out.VarRanges = Ranges;
+  const std::vector<Term> &Vars = Eval.vars();
+  for (unsigned Slot = 0; Slot < Vars.size(); ++Slot)
+    if (!Eval.Ranges[Slot].isTop())
+      Out.VarRanges.emplace(Vars[Slot].id(), Eval.Ranges[Slot]);
   buildSuggested(Out);
 
   // Trivially sat? The heuristic witness only proposes; the exact

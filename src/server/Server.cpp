@@ -83,6 +83,10 @@ StaubServer::~StaubServer() {
 }
 
 bool StaubServer::start(std::string *Error) {
+  // A Unix socket is bound under a temporary name and renamed into place
+  // once it listens: a client that waits for the path to appear must
+  // never find a socket that still refuses connections.
+  std::string BoundPath;
   if (!Options.SocketPath.empty()) {
     ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (ListenFd < 0) {
@@ -90,18 +94,18 @@ bool StaubServer::start(std::string *Error) {
         *Error = std::string("socket: ") + std::strerror(errno);
       return false;
     }
+    BoundPath = Options.SocketPath + ".tmp";
     sockaddr_un Addr{};
     Addr.sun_family = AF_UNIX;
-    if (Options.SocketPath.size() >= sizeof(Addr.sun_path)) {
+    if (BoundPath.size() >= sizeof(Addr.sun_path)) {
       if (Error)
         *Error = "socket path too long: " + Options.SocketPath;
       ::close(ListenFd);
       ListenFd = -1;
       return false;
     }
-    std::memcpy(Addr.sun_path, Options.SocketPath.c_str(),
-                Options.SocketPath.size() + 1);
-    ::unlink(Options.SocketPath.c_str()); // Stale socket from a dead server.
+    std::memcpy(Addr.sun_path, BoundPath.c_str(), BoundPath.size() + 1);
+    ::unlink(BoundPath.c_str()); // Stale socket from a dead server.
     if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
         0) {
       if (Error)
@@ -141,6 +145,15 @@ bool StaubServer::start(std::string *Error) {
   if (::listen(ListenFd, 64) != 0) {
     if (Error)
       *Error = std::string("listen: ") + std::strerror(errno);
+    ::close(ListenFd);
+    ListenFd = -1;
+    return false;
+  }
+  if (!BoundPath.empty() &&
+      ::rename(BoundPath.c_str(), Options.SocketPath.c_str()) != 0) {
+    if (Error)
+      *Error = Options.SocketPath + ": " + std::strerror(errno);
+    ::unlink(BoundPath.c_str());
     ::close(ListenFd);
     ListenFd = -1;
     return false;

@@ -434,8 +434,10 @@ PortfolioResult staub::runPortfolioMeasured(
   bool OriginalDecided = Original.Status != SolveStatus::Unknown;
   bool StaubDecided = isDecisive(Result.Staub.Path);
 
-  if (StaubDecided && (!OriginalDecided ||
-                       Result.StaubSeconds <= Result.OriginalSeconds)) {
+  // The answering lane goes by precedence, not by which lane measured
+  // faster, so the answer never depends on timing; the portfolio time is
+  // still the first decisive lane's.
+  if (StaubDecided) {
     if (Result.Staub.Path == StaubPath::PresolvedUnsat) {
       Result.Status = SolveStatus::Unsat;
     } else {
@@ -443,7 +445,9 @@ PortfolioResult staub::runPortfolioMeasured(
       Result.TheModel = Result.Staub.VerifiedModel;
     }
     Result.StaubWon = true;
-    Result.PortfolioSeconds = Result.StaubSeconds;
+    Result.PortfolioSeconds =
+        OriginalDecided ? std::min(Result.StaubSeconds, Result.OriginalSeconds)
+                        : Result.StaubSeconds;
     return Result;
   }
   if (OriginalDecided) {
@@ -509,8 +513,10 @@ PortfolioResult staub::runPortfolioRacing(TermManager &Manager,
   Result.OriginalSeconds = Original.TimeSeconds;
   Result.StaubSeconds = Staub.totalSeconds();
 
+  // Precedence as in runPortfolioMeasured: a decisive STAUB path answers
+  // even when the original lane finished first.
   bool OriginalDecided = Original.Status != SolveStatus::Unknown;
-  if (StaubDecided && (!OriginalDecided || StaubDone <= OriginalDone)) {
+  if (StaubDecided) {
     if (Staub.Path == StaubPath::PresolvedUnsat) {
       Result.Status = SolveStatus::Unsat;
     } else {
@@ -518,7 +524,8 @@ PortfolioResult staub::runPortfolioRacing(TermManager &Manager,
       Result.TheModel = Staub.VerifiedModel;
     }
     Result.StaubWon = true;
-    Result.PortfolioSeconds = StaubDone;
+    Result.PortfolioSeconds =
+        OriginalDecided ? std::min(StaubDone, OriginalDone) : StaubDone;
     return Result;
   }
   if (OriginalDecided) {

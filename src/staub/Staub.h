@@ -167,7 +167,10 @@ runStaub(TermManager &Manager, const std::vector<Term> &Assertions,
 struct PortfolioResult {
   SolveStatus Status = SolveStatus::Unknown;
   Model TheModel;          ///< Original-theory model when Status == Sat.
-  bool StaubWon = false;   ///< True when the STAUB lane supplied the answer.
+  /// True when the STAUB lane supplied the answer: it does whenever its
+  /// path is decisive, even if the original lane decided sooner, so the
+  /// flag never depends on lane timing.
+  bool StaubWon = false;
   double OriginalSeconds = 0.0; ///< T_pre.
   double StaubSeconds = 0.0;    ///< T_trans + T_post + T_check.
   StaubOutcome Staub;
@@ -176,9 +179,10 @@ struct PortfolioResult {
   double PortfolioSeconds = 0.0;
 };
 
-/// Measured portfolio (Sec. 5.1): runs both lanes to completion and takes
-/// the faster decisive one. Deterministic and load-independent; used by
-/// the benchmark harness.
+/// Measured portfolio (Sec. 5.1): runs both lanes to completion. A
+/// decisive STAUB path answers, otherwise a decided original lane; the
+/// portfolio time is the faster decisive lane's. Deterministic and
+/// load-independent; used by the benchmark harness.
 PortfolioResult
 runPortfolioMeasured(TermManager &Manager, const std::vector<Term> &Assertions,
                      SolverBackend &Backend, const StaubOptions &Options,
@@ -186,12 +190,13 @@ runPortfolioMeasured(TermManager &Manager, const std::vector<Term> &Assertions,
                                                     const std::vector<Term> &) =
                          nullptr);
 
-/// Racing portfolio: runs the two lanes on two threads and returns the
-/// first decisive answer (the deployment configuration). The winning lane
-/// cancels the other through its CancellationToken, so the call returns as
-/// soon as the loser observes the token (typically well under 100ms)
+/// Racing portfolio: runs the two lanes on two threads and returns once
+/// a lane decides (the deployment configuration). The first decisive lane
+/// cancels the other through its CancellationToken, so the call returns
+/// as soon as the loser observes the token (typically well under 100ms)
 /// instead of waiting out the loser's timeout. The cancelled lane reports
-/// Unknown with its wall time at cancellation.
+/// Unknown with its wall time at cancellation. When both lanes decide,
+/// the answer goes by runPortfolioMeasured's precedence.
 PortfolioResult runPortfolioRacing(TermManager &Manager,
                                    const std::vector<Term> &Assertions,
                                    SolverBackend &Backend,

@@ -1,7 +1,14 @@
-//===- tests/solver_icp_test.cpp - Interval arithmetic unit tests ---------===//
+//===- tests/solver_icp_test.cpp - ICP solver and its interval kernels ----===//
 //
 // Part of the STAUB reproduction.
 //
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The full-precision interval kernels ICP evaluates its boxes with
+/// (analysis/Contract.h; cases not already covered by ContractKernelTest
+/// in staub_presolve_test.cpp), and IcpSolver end to end.
+///
 //===----------------------------------------------------------------------===//
 
 #include "solver/Icp.h"
@@ -11,114 +18,88 @@
 #include <gtest/gtest.h>
 
 using namespace staub;
+using namespace staub::analysis;
 
 namespace {
 
 Rational rat(int64_t N, int64_t D = 1) { return Rational(BigInt(N), BigInt(D)); }
 
-Interval iv(int64_t Lo, int64_t Hi) {
-  return Interval::bounded(rat(Lo), rat(Hi));
+Interval iv(int64_t Lo, int64_t Hi) { return Interval::range(rat(Lo), rat(Hi)); }
+
+Interval atLeast(int64_t Lo) {
+  Interval I;
+  I.Lo = rat(Lo);
+  return I;
 }
 
 TEST(IntervalTest, AddSubNeg) {
   Interval A = iv(1, 3), B = iv(-2, 5);
-  Interval Sum = A.add(B);
-  EXPECT_EQ(*Sum.Lo, rat(-1));
-  EXPECT_EQ(*Sum.Hi, rat(8));
-  Interval Diff = A.sub(B);
-  EXPECT_EQ(*Diff.Lo, rat(-4));
-  EXPECT_EQ(*Diff.Hi, rat(5));
-  Interval Neg = A.neg();
-  EXPECT_EQ(*Neg.Lo, rat(-3));
-  EXPECT_EQ(*Neg.Hi, rat(-1));
+  EXPECT_EQ(addI(A, B), iv(-1, 8));
+  EXPECT_EQ(subI(A, B), iv(-4, 5));
+  EXPECT_EQ(negI(A), iv(-3, -1));
 }
 
 TEST(IntervalTest, UnboundedEndpoints) {
-  Interval All = Interval::all();
+  Interval All = Interval::top();
   EXPECT_FALSE(All.Lo.has_value());
   EXPECT_FALSE(All.Hi.has_value());
-  Interval Half; // (-inf, +inf) -> set Lo only.
-  Half.Lo = rat(3);
-  Interval Sum = Half.add(iv(1, 2));
+  Interval Half = atLeast(3);
+  Interval Sum = addI(Half, iv(1, 2));
   EXPECT_EQ(*Sum.Lo, rat(4));
   EXPECT_FALSE(Sum.Hi.has_value());
-  Interval Negated = Half.neg();
+  Interval Negated = negI(Half);
   EXPECT_FALSE(Negated.Lo.has_value());
   EXPECT_EQ(*Negated.Hi, rat(-3));
 }
 
 TEST(IntervalTest, MulSignCases) {
-  EXPECT_EQ(*iv(2, 3).mul(iv(4, 5)).Lo, rat(8));
-  EXPECT_EQ(*iv(2, 3).mul(iv(4, 5)).Hi, rat(15));
-  EXPECT_EQ(*iv(-3, 2).mul(iv(-1, 4)).Lo, rat(-12));
-  EXPECT_EQ(*iv(-3, 2).mul(iv(-1, 4)).Hi, rat(8));
-  EXPECT_EQ(*iv(-2, -1).mul(iv(-4, -3)).Lo, rat(3));
-  EXPECT_EQ(*iv(-2, -1).mul(iv(-4, -3)).Hi, rat(8));
+  EXPECT_EQ(mulFullI(iv(2, 3), iv(4, 5)), iv(8, 15));
+  EXPECT_EQ(mulFullI(iv(-3, 2), iv(-1, 4)), iv(-12, 8));
+  EXPECT_EQ(mulFullI(iv(-2, -1), iv(-4, -3)), iv(3, 8));
   // Unbounded times positive.
-  Interval Pos;
-  Pos.Lo = rat(1);
-  Interval Product = Pos.mul(iv(2, 3));
-  EXPECT_EQ(*Product.Lo, rat(2));
-  EXPECT_FALSE(Product.Hi.has_value());
+  EXPECT_EQ(mulFullI(atLeast(1), iv(2, 3)), atLeast(2));
 }
 
 TEST(IntervalTest, DivisionRules) {
   // Divisor strictly positive.
-  Interval Q = iv(4, 8).div(iv(2, 4));
-  EXPECT_EQ(*Q.Lo, rat(1));
-  EXPECT_EQ(*Q.Hi, rat(4));
+  EXPECT_EQ(divFullI(iv(4, 8), iv(2, 4)), iv(1, 4));
   // Divisor spanning zero: give up.
-  Interval All = iv(1, 2).div(iv(-1, 1));
-  EXPECT_FALSE(All.Lo.has_value());
-  EXPECT_FALSE(All.Hi.has_value());
+  EXPECT_TRUE(divFullI(iv(1, 2), iv(-1, 1)).isTop());
   // Strictly negative divisor.
-  Interval Neg = iv(4, 8).div(iv(-2, -1));
-  EXPECT_EQ(*Neg.Lo, rat(-8));
-  EXPECT_EQ(*Neg.Hi, rat(-2));
+  EXPECT_EQ(divFullI(iv(4, 8), iv(-2, -1)), iv(-8, -2));
 }
 
 TEST(IntervalTest, PowEvenOdd) {
-  Interval Straddle = iv(-3, 2);
-  Interval Sq = Straddle.pow(2);
-  EXPECT_EQ(*Sq.Lo, rat(0)); // Even powers are non-negative.
-  EXPECT_EQ(*Sq.Hi, rat(9));
-  Interval Cu = Straddle.pow(3);
-  EXPECT_EQ(*Cu.Lo, rat(-27));
-  EXPECT_EQ(*Cu.Hi, rat(8));
-  EXPECT_EQ(*iv(2, 3).pow(0).Lo, rat(1));
+  // Straddling even/odd powers: ContractKernelTest.PowEvenIsNonNegative.
+  EXPECT_EQ(powFullI(iv(2, 3), 0), iv(1, 1));
   // Unbounded square still has lower bound 0.
-  Interval AllSq = Interval::all().pow(2);
-  EXPECT_EQ(*AllSq.Lo, rat(0));
-  EXPECT_FALSE(AllSq.Hi.has_value());
+  EXPECT_EQ(powFullI(Interval::top(), 2), atLeast(0));
 }
 
 TEST(IntervalTest, AbsMeetRound) {
-  Interval A = iv(-5, 3).abs();
-  EXPECT_EQ(*A.Lo, rat(0));
-  EXPECT_EQ(*A.Hi, rat(5));
-  Interval Met = iv(0, 10).meet(iv(5, 20));
-  EXPECT_EQ(*Met.Lo, rat(5));
-  EXPECT_EQ(*Met.Hi, rat(10));
-  EXPECT_TRUE(iv(3, 2).isEmpty());
-  Interval Rounded = Interval::bounded(rat(1, 2), rat(7, 2)).roundToInt();
-  EXPECT_EQ(*Rounded.Lo, rat(1));
-  EXPECT_EQ(*Rounded.Hi, rat(3));
+  // Rounding: ContractKernelTest.RoundToIntEmptiesFractionGaps.
+  EXPECT_EQ(absI(iv(-5, 3)), iv(0, 5));
+  EXPECT_EQ(meet(iv(0, 10), iv(5, 20)), iv(5, 10));
+  EXPECT_TRUE(iv(3, 2).Empty);
 }
 
 //===--------------------------------------------------------------------===//
 // IcpSolver end-to-end on targeted instances.
 //===--------------------------------------------------------------------===//
 
-SolveStatus icpSolve(const char *Text, double Timeout = 10.0) {
+SolveStatus icpSolve(const char *Text, double Timeout = 10.0,
+                     uint64_t MaxNodes = IcpOptions().MaxNodes) {
   TermManager M;
   auto R = parseSmtLib(M, Text);
   EXPECT_TRUE(R.Ok) << R.Error;
   IcpSolver Solver(M, R.Parsed.Assertions);
   IcpOptions Options;
   Options.TimeoutSeconds = Timeout;
+  Options.MaxNodes = MaxNodes;
   SolveResult Result = Solver.solve(Options);
-  if (Result.Status == SolveStatus::Sat)
+  if (Result.Status == SolveStatus::Sat) {
     EXPECT_TRUE(evaluatesToTrue(M, R.Parsed.conjoined(M), Result.TheModel));
+  }
   return Result.Status;
 }
 
@@ -154,6 +135,23 @@ TEST(IcpSolverTest, BudgetExhaustionIsUnknown) {
   Options.MaxNodes = 3;
   Options.TimeoutSeconds = 0.2;
   EXPECT_EQ(Solver.solve(Options).Status, SolveStatus::Unknown);
+}
+
+TEST(IcpSolverTest, ModByPossiblyZeroDivisorIsUnconstrained) {
+  // (mod x 0) is unspecified in SMT-LIB, so y = 0 admits any remainder:
+  // the box test must not bound mod by [0, |y|) while y may be zero. No
+  // checked model exists either, so the search can only end Unknown.
+  EXPECT_NE(icpSolve("(declare-fun x () Int)(declare-fun y () Int)"
+                     "(assert (= (mod x y) (- 5)))",
+                     2.0, 50),
+            SolveStatus::Unsat);
+}
+
+TEST(IcpSolverTest, ModIsBelowDivisorMagnitude) {
+  // 0 <= (mod x 3) <= 2 on the unbounded box.
+  EXPECT_EQ(icpSolve("(declare-fun x () Int)(assert (= (mod x 3) 3))", 2.0,
+                     50),
+            SolveStatus::Unsat);
 }
 
 TEST(IcpSolverTest, NoVariables) {

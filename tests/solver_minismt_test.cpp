@@ -229,6 +229,15 @@ TEST(MiniSmtNiaTest, SquareIsNonNegative) {
             SolveStatus::Unsat); // Proven on the unbounded box.
 }
 
+TEST(MiniSmtNiaTest, ModByPossiblyZeroDivisorIsNotUnsat) {
+  // Sat with y = 0, where mod is unspecified; MiniSMT finds no checked
+  // model for it, but must never refute it.
+  EXPECT_NE(solveText("(declare-fun x () Int)(declare-fun y () Int)"
+                      "(assert (= (mod x y) (- 5)))",
+                      0.5),
+            SolveStatus::Unsat);
+}
+
 TEST(MiniSmtNiaTest, SumOfCubesSmall) {
   // Small instance of the MathProblems family: x^3 + y^3 = 91 (3,4).
   EXPECT_EQ(solveText("(declare-fun x () Int)(declare-fun y () Int)"
