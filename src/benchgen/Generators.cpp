@@ -742,21 +742,20 @@ staub::generateVcStreamSuite(TermManager &Manager, const BenchConfig &Config,
 
   for (unsigned B = 0; B < Bases; ++B) {
     // The instance offset keeps variable names disjoint from the other
-    // suites; names are also disjoint per base, so cache sharing happens
-    // exactly within one base's variant group.
+    // suites; names are also disjoint per base, so only one base's
+    // variant group shares conjuncts.
     unsigned Instance = 30000 + B;
     Term X[4];
     for (unsigned I = 0; I < 4; ++I)
       X[I] = Manager.mkVariable(varName("vc", Instance, I), Sort::integer());
 
     // Planted witness: X0 = Anchor, the rest 0. The workload is tuned so
-    // per-query cost is dominated by CNF construction, the regime a warm
-    // cross-query cache is built for: the row bounds sit near Box^2, so
-    // the inferred width is about twice MaxConstantBits and every
-    // X_P * X_Q row blasts to a width^2 multiplier circuit — yet no
-    // bound is interval-redundant (the presolver keeps every row and
-    // narrows nothing, leaving the multipliers at full width), and the
-    // rows are loose enough that the SAT search is almost pure
+    // per-query cost is dominated by CNF construction: the row bounds sit
+    // near Box^2, so the inferred width is about twice MaxConstantBits
+    // and every X_P * X_Q row blasts to a width^2 multiplier circuit —
+    // yet no bound is interval-redundant (the presolver keeps every row
+    // and narrows nothing, leaving the multipliers at full width), and
+    // the rows are loose enough that the SAT search is almost pure
     // propagation.
     // Anchor > Variants so every variant's Floor below stays distinct
     // and witness-compatible.

@@ -112,17 +112,16 @@ generateEscalationSuite(TermManager &Manager, const BenchConfig &Config);
 std::vector<GeneratedConstraint>
 generateCorrelatedSuite(TermManager &Manager, const BenchConfig &Config);
 
-/// staubd's "near-duplicate VC stream" (bench_server, docs/SERVER.md):
+/// A "near-duplicate VC stream" (perfbench `vcstream`, served by staubd):
 /// \p Bases base formulas, each emitted as \p Variants queries that share
 /// every conjunct except one. A base is an Int box plus an additive
 /// anchor plus several two-variable product rows (blast-heavy at the
 /// inferred width: the possible-overflow guards keep wide multipliers in
 /// the CNF); each variant swaps in a different constant on the single
-/// varying conjunct. This is the workload shape the cross-query blast
-/// cache is built for — from the second query of a base on, every
-/// conjunct but one is a (digest, width) cache hit. All instances are
-/// planted sat and deliberately false at interval corner points so the
-/// presolver cannot short-circuit the solve.
+/// varying conjunct, the way a verifier's successive revisions of one
+/// function do. All instances are planted sat and deliberately false at
+/// interval corner points so the presolver cannot short-circuit the
+/// solve.
 std::vector<GeneratedConstraint>
 generateVcStreamSuite(TermManager &Manager, const BenchConfig &Config,
                       unsigned Bases, unsigned Variants);

@@ -48,9 +48,6 @@ EvalRecord evaluateOne(TermManager &Manager, const GeneratedConstraint &C,
   R.EscalationSteps = Outcome.EscalationSteps;
   R.ClausesReused = Outcome.ClausesReused;
   R.SessionBlastCacheHits = Outcome.SessionBlastCacheHits;
-  R.CrossBlastCacheHits = Outcome.CrossBlastCacheHits;
-  R.CrossBlastCacheMisses = Outcome.CrossBlastCacheMisses;
-  R.CrossClausesReused = Outcome.CrossClausesReused;
   R.Presolve = Outcome.Presolve;
 
   // Cross-check against the planted ground truth where available: a
@@ -112,9 +109,6 @@ void evaluateOneConfigs(TermManager &Manager, const GeneratedConstraint &C,
     R.EscalationSteps = Outcome.EscalationSteps;
     R.ClausesReused = Outcome.ClausesReused;
     R.SessionBlastCacheHits = Outcome.SessionBlastCacheHits;
-    R.CrossBlastCacheHits = Outcome.CrossBlastCacheHits;
-    R.CrossBlastCacheMisses = Outcome.CrossBlastCacheMisses;
-    R.CrossClausesReused = Outcome.CrossClausesReused;
     R.Presolve = Outcome.Presolve;
     if (C.Expected && *C.Expected == SolveStatus::Unsat &&
         (Outcome.Path == StaubPath::VerifiedSat ||

@@ -47,10 +47,6 @@ struct EvalRecord {
   unsigned EscalationSteps = 0;
   uint64_t ClausesReused = 0;
   uint64_t SessionBlastCacheHits = 0;
-  /// Cross-query shared-cache counters (zero without a shared cache).
-  uint64_t CrossBlastCacheHits = 0;
-  uint64_t CrossBlastCacheMisses = 0;
-  uint64_t CrossClausesReused = 0;
   /// Presolver counters for this run (analysis/Presolve.h).
   analysis::PresolveStats Presolve;
 

@@ -10,9 +10,6 @@
 #include "analysis/Octagon.h"
 #include "analysis/Zone.h"
 #include "fuzz/Rewrite.h"
-#include "smtlib/Parser.h"
-#include "smtlib/Printer.h"
-#include "solver/CrossCache.h"
 #include "staub/BoundInference.h"
 #include "staub/Config.h"
 #include "staub/Staub.h"
@@ -589,127 +586,6 @@ checkEscalationEquivalence(TermManager &Manager, const FuzzInstance &Instance,
   return std::nullopt;
 }
 
-/// cache-consistency: staubd's sharded cross-query caches
-/// (solver/CrossCache.h) must be invisible to everything but the clock.
-/// The reference run re-parses the instance into a FRESH TermManager and
-/// solves with no cache attached — the cold fresh-manager answer a
-/// one-shot staub invocation would give. The cached runs then replay the
-/// instance against a SharedSolveCaches primed with a near-duplicate
-/// sibling (the VC-stream access pattern bench_server measures), once
-/// half-cold and once all-hit warm. Because the pipeline is
-/// deterministic and the Int lane exact on the division-free fragment,
-/// a cached run must retrace the uncached run's exact StaubPath, any
-/// decisive sat model must survive independent re-evaluation, and no
-/// verdict may contradict planted truth. BugInjection::BadDigest makes
-/// digests ignore constant payloads, so the sibling's templates collide
-/// with the instance's conjuncts and the caches serve semantically
-/// wrong CNF — which the path cross-check then reports.
-std::optional<Violation>
-checkCacheConsistency(TermManager &Manager, const FuzzInstance &Instance,
-                      SolverBackend &Backend, const OracleOptions &Options) {
-  if (Options.Theory != FuzzTheory::Int)
-    return std::nullopt; // Path equality needs the exact Int->BV lane.
-  if (usesIntDivision(Manager, Instance.Assertions))
-    return std::nullopt; // Exactness excludes div/mod.
-  if (stopRequested(Options.Cancel))
-    return std::nullopt;
-
-  // Reference: cold, fresh manager, no caches — also exercises the
-  // digest-stability contract, since the cached runs below must line up
-  // with templates keyed from differently-interned terms.
-  Script Rendered;
-  Rendered.Logic = "QF_NIA";
-  Rendered.Variables =
-      Manager.collectVariables(Manager.mkAnd(Instance.Assertions));
-  Rendered.Assertions = Instance.Assertions;
-  Rendered.HasCheckSat = true;
-  TermManager FreshManager;
-  ParseResult Reparsed =
-      parseSmtLib(FreshManager, printScript(Manager, Rendered));
-  if (!Reparsed.Ok)
-    return std::nullopt; // Round-trip gaps belong to the roundtrip oracle.
-  StaubOutcome Reference = runStaub(FreshManager, Reparsed.Parsed.Assertions,
-                                    Backend, pipelineOptions(Options));
-  if (stopRequested(Options.Cancel))
-    return std::nullopt;
-
-  SharedSolveCaches Caches;
-  Caches.InjectBadDigest = Options.Inject == BugInjection::BadDigest;
-  StaubOptions Cached = pipelineOptions(Options);
-  Cached.Solve.Shared = &Caches;
-
-  // Prime with a near-duplicate sibling: one variable's box shifted up
-  // by 64 — every var-vs-const bound atom over the first lower-bounded
-  // variable gets its constant raised, the whole-box drift a verifier's
-  // next revision produces. Shifting both ends (rather than tightening
-  // one) keeps the sibling satisfiable, so it survives the presolver
-  // and actually populates the shards with templates a colliding digest
-  // would wrongly serve. Its own verdict is irrelevant.
-  auto BoundOver = [&](Term Assertion, Term Var) {
-    Kind K = Manager.kind(Assertion);
-    if (K != Kind::Ge && K != Kind::Gt && K != Kind::Le && K != Kind::Lt)
-      return false;
-    return Manager.numChildren(Assertion) == 2 &&
-           (!Var.isValid() || Manager.child(Assertion, 0) == Var) &&
-           Manager.kind(Manager.child(Assertion, 0)) == Kind::Variable &&
-           Manager.kind(Manager.child(Assertion, 1)) == Kind::ConstInt;
-  };
-  Term Shifted;
-  for (Term Assertion : Instance.Assertions) {
-    Kind K = Manager.kind(Assertion);
-    if ((K == Kind::Ge || K == Kind::Gt) && BoundOver(Assertion, Term())) {
-      Shifted = Manager.child(Assertion, 0);
-      break;
-    }
-  }
-  std::vector<Term> Sibling = Instance.Assertions;
-  for (Term &Assertion : Sibling)
-    if (Shifted.isValid() && BoundOver(Assertion, Shifted))
-      Assertion = Manager.mkCompare(
-          Manager.kind(Assertion), Shifted,
-          Manager.mkIntConst(Manager.intValue(Manager.child(Assertion, 1)) +
-                             BigInt(64)));
-  runStaub(Manager, Sibling, Backend, Cached);
-
-  for (int Round = 0; Round < 2; ++Round) {
-    if (stopRequested(Options.Cancel))
-      return std::nullopt;
-    StaubOutcome Run =
-        runStaub(Manager, Instance.Assertions, Backend, Cached);
-
-    if (isDecisive(Run.Path) && Run.Path != StaubPath::PresolvedUnsat) {
-      std::optional<bool> Holds = evaluateConjunction(
-          Manager, Instance.Assertions, Run.VerifiedModel);
-      if (!Holds.value_or(false))
-        return makeViolation("cache-consistency",
-                             "cached sat model fails independent "
-                             "re-evaluation on the original",
-                             Instance);
-    }
-    if (Options.TrustExpected && Instance.Expected && isDecisive(Run.Path)) {
-      bool RunSat = Run.Path != StaubPath::PresolvedUnsat;
-      if (RunSat != (*Instance.Expected == SolveStatus::Sat))
-        return makeViolation("cache-consistency",
-                             "cached pipeline contradicts planted truth",
-                             Instance);
-    }
-    // Timeouts degrade either side to BoundedUnknown and leave the
-    // comparison vacuous; otherwise the cache must not even change the
-    // route, let alone the verdict.
-    if (Run.Path != StaubPath::BoundedUnknown &&
-        Reference.Path != StaubPath::BoundedUnknown &&
-        Run.Path != Reference.Path)
-      return makeViolation(
-          "cache-consistency",
-          std::string(Round == 0 ? "half-cold" : "warm") +
-              "-cache run took path " + std::string(toString(Run.Path)) +
-              " but the cold fresh-manager run took " +
-              std::string(toString(Reference.Path)),
-          Instance);
-  }
-  return std::nullopt;
-}
-
 /// relational-soundness: the zone/octagon layer (analysis/Zone.h) must be
 /// a conservative abstraction of the instance. Three claims:
 ///
@@ -824,7 +700,6 @@ constexpr NamedOracle StageOracles[] = {
     {"reference-agreement", checkReferenceAgreement},
     {"presolve-equisat", checkPresolveEquisat},
     {"escalation-equivalence", checkEscalationEquivalence},
-    {"cache-consistency", checkCacheConsistency},
     {"relational-soundness", checkRelationalSoundness},
 };
 

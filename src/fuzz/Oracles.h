@@ -41,13 +41,6 @@
 ///                              models re-verify exactly, and the ladder's
 ///                              base-core classification matches a clean
 ///                              run (catches --inject=bad-core)
-///   cache-consistency          solving through staubd's cross-query
-///                              blast/clause caches (primed with a
-///                              near-duplicate sibling, then replayed
-///                              half-cold and warm) retraces the exact
-///                              StaubPath of a cold fresh-manager run,
-///                              and cached sat models re-verify (catches
-///                              --inject=bad-digest)
 ///   relational-soundness       the zone closure over the instance's
 ///                              difference atoms is triangle-consistent
 ///                              after close(), its projections contain
@@ -105,11 +98,6 @@ enum class BugInjection : uint8_t {
   /// verdicts sound, so escalation-equivalence must catch the flipped
   /// BaseCoreHasGuards claim against a clean run.
   BadCore,
-  /// Make the cross-query cache digest ignore constant payloads
-  /// (SharedSolveCaches::InjectBadDigest), so near-duplicate queries
-  /// collide and the shards serve CNF templates blasted from a different
-  /// constraint. cache-consistency must fire.
-  BadDigest,
   /// Make the zone closure drop every relaxation through the last
   /// Floyd-Warshall pivot (analysis::PresolveOptions::InjectBadClosure).
   /// Under-closure never produces a wrong verdict, so only the

@@ -24,13 +24,12 @@ using namespace staub;
 using namespace staub::server;
 
 //===--------------------------------------------------------------------===//
-// Query evaluation (shared with bench_server and tests).
+// Query evaluation.
 //===--------------------------------------------------------------------===//
 
 QueryResult staub::server::evaluateQuery(const std::string &SmtLib,
-                                         SharedSolveCaches *Caches,
-                                         double TimeoutSeconds,
-                                         const CancellationToken *Cancel) {
+                                         SharedSolveCaches *,
+                                         double TimeoutSeconds) {
   WallTimer Timer;
   QueryResult R;
   TermManager Manager;
@@ -45,15 +44,10 @@ QueryResult staub::server::evaluateQuery(const std::string &SmtLib,
   std::unique_ptr<SolverBackend> Backend = createMiniSmtSolver();
   StaubOptions Options;
   Options.Solve.TimeoutSeconds = TimeoutSeconds;
-  Options.Solve.Cancel = Cancel;
-  Options.Solve.Shared = Caches;
 
   StaubOutcome Outcome = runStaub(Manager, Assertions, *Backend, Options);
   R.Ok = true;
   R.Width = Outcome.ChosenWidth;
-  R.CrossBlastHits = Outcome.CrossBlastCacheHits;
-  R.CrossBlastMisses = Outcome.CrossBlastCacheMisses;
-  R.CrossClausesReused = Outcome.CrossClausesReused;
   if (isDecisive(Outcome.Path)) {
     R.Path = std::string(toString(Outcome.Path));
     R.Status = Outcome.Path == StaubPath::PresolvedUnsat ? SolveStatus::Unsat
@@ -73,9 +67,7 @@ QueryResult staub::server::evaluateQuery(const std::string &SmtLib,
 // StaubServer.
 //===--------------------------------------------------------------------===//
 
-StaubServer::StaubServer(const ServerOptions &Options)
-    : Options(Options),
-      Caches(Options.BlastCacheBytes, Options.ClauseStoreBytes) {}
+StaubServer::StaubServer(const ServerOptions &Options) : Options(Options) {}
 
 StaubServer::~StaubServer() {
   requestShutdown();
@@ -240,8 +232,6 @@ ServerStats StaubServer::stats() const {
   S.QueriesServed = QueriesServed.load(std::memory_order_relaxed);
   S.QueriesFailed = QueriesFailed.load(std::memory_order_relaxed);
   S.ConnectionsAccepted = ConnectionsAccepted.load(std::memory_order_relaxed);
-  S.Blast = Caches.Blast.stats();
-  S.Clauses = Caches.Clauses.stats();
   return S;
 }
 
@@ -313,17 +303,7 @@ void StaubServer::readerLoop(std::shared_ptr<Connection> Conn) {
       std::string Line =
           "stats queries=" + std::to_string(S.QueriesServed) +
           " failed=" + std::to_string(S.QueriesFailed) +
-          " connections=" + std::to_string(S.ConnectionsAccepted) +
-          " blast_hits=" + std::to_string(S.Blast.Hits) +
-          " blast_misses=" + std::to_string(S.Blast.Misses) +
-          " blast_insertions=" + std::to_string(S.Blast.Insertions) +
-          " blast_evictions=" + std::to_string(S.Blast.Evictions) +
-          " blast_entries=" + std::to_string(S.Blast.Entries) +
-          " blast_bytes=" + std::to_string(S.Blast.Bytes) +
-          " clause_hits=" + std::to_string(S.Clauses.Hits) +
-          " clause_misses=" + std::to_string(S.Clauses.Misses) +
-          " clause_evictions=" + std::to_string(S.Clauses.Evictions) +
-          " clause_entries=" + std::to_string(S.Clauses.Entries) + "\n";
+          " connections=" + std::to_string(S.ConnectionsAccepted) + "\n";
       respond(*Conn, Line);
     } else if (F.Verb == "shutdown") {
       respond(*Conn, "bye\n");
@@ -396,8 +376,7 @@ void StaubServer::workerLoop() {
       ++ActiveJobs;
     }
 
-    QueryResult R = evaluateQuery(J.SmtLib, &Caches, J.TimeoutSeconds,
-                                  &ShutdownCancel);
+    QueryResult R = evaluateQuery(J.SmtLib, nullptr, J.TimeoutSeconds);
     std::string Line;
     if (!R.Ok) {
       QueriesFailed.fetch_add(1, std::memory_order_relaxed);
@@ -408,10 +387,7 @@ void StaubServer::workerLoop() {
       std::snprintf(Seconds, sizeof(Seconds), "%.6f", R.Seconds);
       Line = "result " + J.Id + " " + std::string(toString(R.Status)) +
              " path=" + R.Path + " width=" + std::to_string(R.Width) +
-             " seconds=" + Seconds +
-             " cross_hits=" + std::to_string(R.CrossBlastHits) +
-             " cross_misses=" + std::to_string(R.CrossBlastMisses) +
-             " clauses_reused=" + std::to_string(R.CrossClausesReused) + "\n";
+             " seconds=" + Seconds + "\n";
     }
     respond(*J.Conn, Line);
 

@@ -5,21 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The long-lived arbitrage service behind `staubd` (ROADMAP item 1).
-/// A StaubServer listens on a Unix or loopback-TCP socket, accepts
-/// framed batches of SMT-LIB queries from concurrent clients
-/// (server/Protocol.h), schedules them over a worker pool with per-query
-/// timeouts and cooperative cancellation, and answers with verdicts plus
-/// per-query stats. What makes the marginal query cheap is the pair of
-/// sharded cross-query caches (solver/CrossCache.h) shared by all
-/// workers: each worker parses into its own TermManager (no global
-/// interning lock) and meets the others only at the (digest, width)
-/// cache shards.
+/// The long-lived arbitrage service behind `staubd`. A StaubServer
+/// listens on a Unix or loopback-TCP socket, accepts framed batches of
+/// SMT-LIB queries from concurrent clients (server/Protocol.h), runs each
+/// one through evaluateQuery() on a worker pool with a per-query timeout,
+/// and answers with the verdict plus per-query stats. Every query is
+/// solved on its own: each worker parses into a fresh TermManager, so
+/// workers share no solver state.
 ///
 /// evaluateQuery() — one query through parse + runStaub + fallback — is
-/// exposed directly so bench_server can replay a VC stream against the
-/// caches without socket overhead, and so tests can pin cache semantics
-/// deterministically.
+/// exposed directly so benches and tests can run the server's query path
+/// without a socket.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +23,9 @@
 #define STAUB_SERVER_SERVER_H
 
 #include "server/Protocol.h"
-#include "solver/CrossCache.h"
 #include "staub/Staub.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -51,9 +47,6 @@ struct ServerOptions {
   uint16_t TcpPort = 0;
   /// Worker threads; 0 = hardware concurrency.
   unsigned Workers = 0;
-  /// Cache budgets (bytes).
-  size_t BlastCacheBytes = SharedSolveCaches::DefaultBlastBytes;
-  size_t ClauseStoreBytes = SharedSolveCaches::DefaultClauseBytes;
   /// Per-query solve budget when the client does not send timeout=.
   double DefaultTimeoutSeconds = 5.0;
   /// Frame size limit (server/Protocol.h).
@@ -65,30 +58,26 @@ struct QueryResult {
   bool Ok = false;            ///< False: parse/translation-level error.
   std::string Error;          ///< Set when !Ok.
   SolveStatus Status = SolveStatus::Unknown;
-  std::string Path;           ///< StaubPath label, or "fallback".
+  /// The decisive StaubPath label, or "fallback:<path>" when the STAUB
+  /// lane was not decisive and the original constraint was solved.
+  std::string Path;
   unsigned Width = 0;         ///< Chosen translation width (0 if none).
   double Seconds = 0.0;       ///< Wall clock for the whole evaluation.
-  uint64_t CrossBlastHits = 0;
-  uint64_t CrossBlastMisses = 0;
-  uint64_t CrossClausesReused = 0;
 };
 
-/// Runs one SMT-LIB query through the full arbitrage pipeline against
-/// \p Caches (nullable: null solves cold with no sharing): fresh
+/// Runs one SMT-LIB query through the full arbitrage pipeline: fresh
 /// TermManager, parse, runStaub with the MiniSMT backend, and a plain
 /// fallback solve of the original constraint when the STAUB lane is not
-/// decisive. \p Cancel (nullable) is polled by the solver.
-QueryResult evaluateQuery(const std::string &SmtLib, SharedSolveCaches *Caches,
-                          double TimeoutSeconds,
-                          const CancellationToken *Cancel = nullptr);
+/// decisive.
+/// The SharedSolveCaches argument is ignored; perfbench names it.
+QueryResult evaluateQuery(const std::string &SmtLib, SharedSolveCaches *,
+                          double TimeoutSeconds);
 
 /// Aggregate server statistics (the `stats` verb payload).
 struct ServerStats {
   uint64_t QueriesServed = 0;
   uint64_t QueriesFailed = 0;
   uint64_t ConnectionsAccepted = 0;
-  CacheStats Blast;
-  CacheStats Clauses;
 };
 
 /// The staubd server. start() spawns the accept thread, per-connection
@@ -120,9 +109,6 @@ public:
   /// Counter snapshot.
   ServerStats stats() const;
 
-  /// The shared caches (for tests and in-process bench drivers).
-  SharedSolveCaches &caches() { return Caches; }
-
 private:
   struct Connection {
     int Fd = -1;
@@ -148,7 +134,6 @@ private:
   void closeListener();
 
   ServerOptions Options;
-  SharedSolveCaches Caches;
   /// Atomic: acceptLoop() reads it while requestShutdown() (any thread)
   /// swaps it to -1 in closeListener().
   std::atomic<int> ListenFd{-1};
@@ -165,8 +150,6 @@ private:
   bool ShuttingDown = false;
   bool Started = false;
   std::vector<std::shared_ptr<Connection>> Connections;
-  CancellationToken ShutdownCancel; ///< Fired only by the destructor path
-                                    ///< as a last-resort unblocking aid.
 
   std::atomic<uint64_t> QueriesServed{0};
   std::atomic<uint64_t> QueriesFailed{0};

@@ -6,9 +6,6 @@
 
 #include "solver/BitBlaster.h"
 
-#include "smtlib/Digest.h"
-#include "solver/CrossCache.h"
-
 #include <cassert>
 
 using namespace staub;
@@ -18,8 +15,6 @@ BitBlaster::BitBlaster(const TermManager &Manager, SatSolver &Solver)
   TrueLit = Lit(Solver.newVar(), false);
   Solver.addUnit(TrueLit);
 }
-
-BitBlaster::~BitBlaster() = default;
 
 Lit BitBlaster::fresh() { return Lit(Solver.newVar(), false); }
 
@@ -606,159 +601,6 @@ Lit BitBlaster::encodeBool(Term T) {
 }
 
 void BitBlaster::assertTrue(Term T) { Solver.addUnit(encodeBool(T)); }
-
-//===--------------------------------------------------------------------===//
-// Cross-query shared-cache path (solver/CrossCache.h).
-//===--------------------------------------------------------------------===//
-
-void BitBlaster::assertTrueShared(Term T, SharedSolveCaches &Caches) {
-  if (!Digests)
-    Digests = std::make_unique<DigestComputer>(
-        Manager, Caches.InjectBadDigest
-                     ? DigestComputer::Mode::IgnoreConstants
-                     : DigestComputer::Mode::Exact);
-  TermDigest D = Digests->digest(T);
-  BlastKey Key{D.Hash, D.MaxBitVecWidth};
-
-  std::shared_ptr<const ClauseTemplate> Learnts;
-  std::shared_ptr<const BlastTemplate> Template = Caches.Blast.lookup(Key);
-  if (Template) {
-    ++CrossHits;
-    Learnts = Caches.Clauses.lookup(Key);
-  } else {
-    ++CrossMisses;
-    Template = buildTemplate(T, Caches, Key);
-    if (!Template) {
-      assertTrue(T); // Unsupported shape; direct path is always correct.
-      return;
-    }
-  }
-  spliceTemplate(*Template, Learnts ? &Learnts->Clauses : nullptr);
-}
-
-std::shared_ptr<const BlastTemplate>
-BitBlaster::buildTemplate(Term T, SharedSolveCaches &Caches,
-                          const BlastKey &Key) {
-  // Blast the assertion alone into a scratch solver whose variable space
-  // starts at 1. The template is NOT the raw Tseitin stream: after
-  // encoding, the root is asserted and the level-0-simplified database is
-  // snapshotted (copySimplifiedCnf). Simplifying under root=true is sound
-  // because the template's meaning is "assertion holds" — every splice
-  // asserts the root — and it is what keeps splicing competitive with
-  // direct blasting, which gets the same simplification for free by
-  // asserting each assertion before encoding the next (level-0
-  // propagation discharges most guard/comparator clauses at add time).
-  SatSolver Scratch;
-  auto Built = std::make_shared<BlastTemplate>();
-  BitBlaster ScratchBlaster(Manager, Scratch);
-  Built->Root = ScratchBlaster.encodeBool(T);
-  for (Term Var : Manager.collectVariables(T)) {
-    Sort S = Manager.sort(Var);
-    TemplateVarBinding Binding;
-    Binding.Name = Manager.variableName(Var);
-    if (S.isBool()) {
-      Binding.Width = 0;
-      Binding.Bits = {ScratchBlaster.encodeBool(Var)};
-    } else if (S.isBitVec()) {
-      Binding.Width = S.bitVecWidth();
-      Binding.Bits = ScratchBlaster.encodeBv(Var);
-    } else {
-      return nullptr; // Unbounded-sort variable: not a blastable assertion.
-    }
-    Built->Vars.push_back(std::move(Binding));
-  }
-  Built->NumVars = Scratch.numVars();
-
-  if (!Scratch.addUnit(Built->Root)) {
-    // The assertion is unsatisfiable on its own; an empty clause is the
-    // smallest template that reproduces that in any host.
-    Built->Clauses.push_back({});
-    Caches.Blast.insert(Key, Built);
-    return Built;
-  }
-  Built->Clauses = Scratch.copySimplifiedCnf();
-
-  // Probe: a bounded solve of this one assertion (root asserted) whose
-  // learnt clauses are implied by the assertion ALONE — unlike learnts
-  // from a full query solve, these are sound in any query containing the
-  // assertion, which is what makes a cross-query clause store possible.
-  if (Caches.ProbeConflicts > 0) {
-    SatBudget Probe;
-    Probe.MaxConflicts = Caches.ProbeConflicts;
-    Scratch.solve(Probe);
-    std::vector<std::vector<Lit>> LearntClauses = Scratch.copyLearnts(
-        Caches.MaxStoredClauses, Caches.MaxStoredClauseLits);
-    if (!LearntClauses.empty()) {
-      auto Stored = std::make_shared<ClauseTemplate>();
-      Stored->Clauses = std::move(LearntClauses);
-      Caches.Clauses.insert(Key, std::move(Stored));
-    }
-  }
-
-  Caches.Blast.insert(Key, Built);
-  return Built;
-}
-
-void BitBlaster::spliceTemplate(const BlastTemplate &Template,
-                                const std::vector<std::vector<Lit>> *Learnts) {
-  // Relocate local variables 1..NumVars to fresh host variables.
-  unsigned Base = Solver.numVars();
-  for (unsigned I = 0; I < Template.NumVars; ++I)
-    Solver.newVar();
-  auto Remap = [Base](Lit L) { return Lit(L.var() + Base, L.negated()); };
-
-  auto AddRemapped = [&](const std::vector<Lit> &Clause) {
-    std::vector<Lit> Remapped;
-    Remapped.reserve(Clause.size());
-    for (Lit L : Clause)
-      Remapped.push_back(Remap(L));
-    Solver.addClause(std::move(Remapped));
-  };
-  for (const std::vector<Lit> &Clause : Template.Clauses)
-    AddRemapped(Clause);
-  Solver.addUnit(Remap(Template.Root));
-  if (Learnts) {
-    for (const std::vector<Lit> &Clause : *Learnts)
-      AddRemapped(Clause);
-    CrossClausesReused += Learnts->size();
-  }
-
-  // Re-establish variable identity by name: install the template's
-  // literals as the variable's encoding, or bridge to an existing
-  // encoding with per-bit biconditionals when another assertion (or an
-  // earlier splice) already encoded it.
-  auto Bridge = [&](Lit A, Lit B) {
-    Solver.addBinary(~A, B);
-    Solver.addBinary(A, ~B);
-  };
-  for (const TemplateVarBinding &Binding : Template.Vars) {
-    Term Var = Manager.lookupVariable(Binding.Name);
-    if (!Var.isValid())
-      continue; // Possible only under digest fault injection.
-    Sort S = Manager.sort(Var);
-    if (Binding.Width == 0 && S.isBool()) {
-      Lit L = Remap(Binding.Bits[0]);
-      auto Found = BoolCache.find(Var.id());
-      if (Found == BoolCache.end())
-        BoolCache.emplace(Var.id(), L);
-      else
-        Bridge(Found->second, L);
-    } else if (S.isBitVec() && S.bitVecWidth() == Binding.Width) {
-      Word Bits;
-      Bits.reserve(Binding.Bits.size());
-      for (Lit L : Binding.Bits)
-        Bits.push_back(Remap(L));
-      auto Found = BvCache.find(Var.id());
-      if (Found == BvCache.end()) {
-        BvCache.emplace(Var.id(), std::move(Bits));
-      } else {
-        for (size_t I = 0; I < Bits.size(); ++I)
-          Bridge(Found->second[I], Bits[I]);
-      }
-    }
-    // Width mismatch: leave unbound (digest fault injection territory).
-  }
-}
 
 Model BitBlaster::extractModel(const std::vector<Term> &Variables) const {
   Model Result;

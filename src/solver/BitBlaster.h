@@ -21,39 +21,18 @@
 #include "solver/Sat.h"
 #include "theory/Evaluator.h"
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 namespace staub {
 
-class DigestComputer;
-struct BlastKey;
-struct BlastTemplate;
-struct SharedSolveCaches;
-
 /// Encodes terms into an attached SatSolver.
 class BitBlaster {
 public:
   BitBlaster(const TermManager &Manager, SatSolver &Solver);
-  ~BitBlaster();
 
   /// Asserts a Bool term at the top level.
   void assertTrue(Term T);
-
-  /// Like assertTrue(), but routed through the cross-query caches
-  /// (solver/CrossCache.h): on a digest hit the assertion's cached CNF
-  /// template (plus any stored probe learnts) is spliced in instead of
-  /// re-blasting; on a miss the assertion is blasted once into a scratch
-  /// solver, recorded, probed, cached, and then spliced identically.
-  void assertTrueShared(Term T, SharedSolveCaches &Caches);
-
-  /// Cross-query cache traffic caused by this blaster's
-  /// assertTrueShared() calls (distinct from the per-session cacheHits()
-  /// memo counter).
-  uint64_t crossHits() const { return CrossHits; }
-  uint64_t crossMisses() const { return CrossMisses; }
-  uint64_t crossClausesReused() const { return CrossClausesReused; }
 
   /// Encodes a Bool term and returns its literal.
   Lit encodeBool(Term T);
@@ -72,18 +51,9 @@ private:
   SatSolver &Solver;
   Lit TrueLit;
   uint64_t CacheHits = 0;
-  uint64_t CrossHits = 0;
-  uint64_t CrossMisses = 0;
-  uint64_t CrossClausesReused = 0;
-  std::unique_ptr<DigestComputer> Digests;
 
   std::unordered_map<uint32_t, Lit> BoolCache;
   std::unordered_map<uint32_t, std::vector<Lit>> BvCache;
-
-  std::shared_ptr<const BlastTemplate>
-  buildTemplate(Term T, SharedSolveCaches &Caches, const BlastKey &Key);
-  void spliceTemplate(const BlastTemplate &Template,
-                      const std::vector<std::vector<Lit>> *Learnts);
 
   Lit falseLit() const { return ~TrueLit; }
   Lit fresh();

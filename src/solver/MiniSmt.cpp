@@ -406,19 +406,12 @@ SolveResult MiniSmtSolver::solveBitVec(TermManager &Manager,
   // variable only occurs under assertions that simplify away.
   std::vector<Term> Variables =
       Manager.collectVariables(Manager.mkAnd(Assertions));
-  for (Term Assertion : Assertions) {
-    if (Options.Shared)
-      Blaster.assertTrueShared(Assertion, *Options.Shared);
-    else
-      Blaster.assertTrue(Assertion);
-  }
+  for (Term Assertion : Assertions)
+    Blaster.assertTrue(Assertion);
 
   SatStatus Status = solveSatWithDeadline(Sat, Timer, Options.TimeoutSeconds,
                                           Options.Cancel);
   Result.TimeSeconds = Timer.elapsedSeconds();
-  Result.CrossBlastHits = Blaster.crossHits();
-  Result.CrossBlastMisses = Blaster.crossMisses();
-  Result.CrossClausesReused = Blaster.crossClausesReused();
   switch (Status) {
   case SatStatus::Sat:
     Result.Status = SolveStatus::Sat;

@@ -158,34 +158,6 @@ bool SatSolver::addClause(std::vector<Lit> Clause) {
   return true;
 }
 
-std::vector<std::vector<Lit>> SatSolver::copySimplifiedCnf() const {
-  assert(decisionLevel() == 0 && "level-0 snapshot above level 0");
-  std::vector<std::vector<Lit>> Result;
-  Result.reserve(Trail.size() + Clauses.size());
-  for (Lit L : Trail)
-    Result.push_back({L});
-  for (const Clause &C : Clauses) {
-    if (C.Learnt || C.Lits.empty())
-      continue;
-    std::vector<Lit> Kept;
-    Kept.reserve(C.Lits.size());
-    bool Satisfied = false;
-    for (Lit L : C.Lits) {
-      LBool V = value(L);
-      if (V == LBool::True) {
-        Satisfied = true;
-        break;
-      }
-      if (V == LBool::False)
-        continue;
-      Kept.push_back(L);
-    }
-    if (!Satisfied)
-      Result.push_back(std::move(Kept));
-  }
-  return Result;
-}
-
 void SatSolver::enqueue(Lit L, int32_t Reason) {
   assert(value(L) == LBool::Undef && "enqueue of assigned literal");
   Assigns[L.var() - 1] = L.negated() ? LBool::False : LBool::True;
@@ -317,18 +289,6 @@ size_t SatSolver::numLearnts() const {
     if (C.Learnt && !C.Lits.empty())
       ++N;
   return N;
-}
-
-std::vector<std::vector<Lit>> SatSolver::copyLearnts(size_t MaxClauses,
-                                                     size_t MaxLits) const {
-  std::vector<std::vector<Lit>> Result;
-  for (const Clause &C : Clauses) {
-    if (Result.size() >= MaxClauses)
-      break;
-    if (C.Learnt && !C.Lits.empty() && C.Lits.size() <= MaxLits)
-      Result.push_back(C.Lits);
-  }
-  return Result;
 }
 
 /// MiniSat's final-conflict analysis: \p Assumption was found false while

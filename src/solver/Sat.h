@@ -115,24 +115,6 @@ public:
   /// reduceLearnts); the escalation driver reports these as reused work.
   size_t numLearnts() const;
 
-  /// Level-0 snapshot of the clause database: every trail literal as a
-  /// unit clause (units first, so a replay re-derives the assignments
-  /// before the long clauses arrive), then every non-learnt clause not
-  /// satisfied at level 0, with falsified literals stripped. Replaying
-  /// the result into a fresh solver reproduces this solver's level-0
-  /// state. The cross-query blast cache snapshots a scratch solver this
-  /// way: it is typically a fraction of the clauses addClause() was fed,
-  /// because asserting the assertion root first lets level-0 propagation
-  /// discharge most of the CNF. Must be called at decision level 0.
-  std::vector<std::vector<Lit>> copySimplifiedCnf() const;
-
-  /// Copies up to \p MaxClauses learnt clauses of at most \p MaxLits
-  /// literals out of the database. The cross-query clause store seeds
-  /// from a probe solve through this; short clauses first is not
-  /// guaranteed, insertion order is.
-  std::vector<std::vector<Lit>> copyLearnts(size_t MaxClauses,
-                                            size_t MaxLits) const;
-
 private:
   struct Clause {
     std::vector<Lit> Lits;

@@ -43,10 +43,12 @@ inline std::string_view toString(SolveStatus Status) {
   return "unknown";
 }
 
+/// Empty and unused: perfbench names it, so it stays until the next
+/// benchmark change.
+struct SharedSolveCaches {};
+
 /// Per-call resource limits. Timeouts produce Unknown, matching how the
 /// paper counts solver timeouts.
-struct SharedSolveCaches;
-
 struct SolverOptions {
   double TimeoutSeconds = 5.0;
   /// Optional cooperative cancellation (not owned; must outlive the solve
@@ -54,11 +56,7 @@ struct SolverOptions {
   /// promptly once it fires — the racing portfolio's first-result-wins
   /// semantics depend on this.
   const CancellationToken *Cancel = nullptr;
-  /// Optional cross-query caches (solver/CrossCache.h; not owned, must
-  /// outlive the call). When set, backends that bit-blast route each
-  /// assertion through the shared (digest, width)->CNF blast cache and
-  /// learnt-clause store instead of always blasting from scratch. Null
-  /// (the default) preserves the one-shot behaviour exactly.
+  /// Never read; perfbench names it.
   SharedSolveCaches *Shared = nullptr;
 };
 
@@ -67,14 +65,6 @@ struct SolveResult {
   SolveStatus Status = SolveStatus::Unknown;
   Model TheModel;
   double TimeSeconds = 0.0;
-  /// Cross-query cache traffic for THIS call (zero when
-  /// SolverOptions::Shared was null or the backend does not participate):
-  /// assertions whose CNF came out of the shared blast cache, assertions
-  /// that had to be blasted and inserted, and probe-learnt clauses
-  /// spliced in from the shared store.
-  uint64_t CrossBlastHits = 0;
-  uint64_t CrossBlastMisses = 0;
-  uint64_t CrossClausesReused = 0;
 };
 
 /// An incremental bounded-solving session for the width-escalation

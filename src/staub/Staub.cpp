@@ -285,86 +285,11 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   std::vector<Term> ToSolve = Transform.Assertions;
   if (Optimizer)
     ToSolve = Optimizer(Manager, ToSolve);
-  else if (Options.Solve.Shared) {
-    // Cross-query cache path: conjoin each translated assertion with the
-    // guards its translation emitted, so one (digest, width) cache entry
-    // carries a guarded operation's whole cone. Left separate, a guard's
-    // template would re-blast the multiplier/adder circuit it shares
-    // with its owner (self-contained templates cannot share subcircuits
-    // across entries), doubling both the cached bytes and the clauses
-    // spliced per query. Satisfiability is unchanged — same conjuncts,
-    // different grouping.
-    std::vector<std::vector<Term>> Groups(Transform.TranslatedCount);
-    for (size_t I = 0; I < Transform.TranslatedCount; ++I)
-      Groups[I].push_back(Transform.Assertions[I]);
-    for (size_t J = 0; J < Transform.GuardOwner.size(); ++J)
-      Groups[Transform.GuardOwner[J]].push_back(
-          Transform.Assertions[Transform.TranslatedCount + J]);
-
-    // Second grouping pass: copy variable range atoms (var-vs-constant
-    // comparisons, e.g. translated box bounds) into every multi-conjunct
-    // group mentioning the variable. Direct blasting asserts the bounds
-    // before encoding later assertions, so level-0 propagation pins the
-    // high bits of every bounded variable and discharges most of a wide
-    // multiplier's clauses at add time. A self-contained template cannot
-    // see a bound asserted elsewhere; conjoining the atom lets the
-    // scratch solver's level-0 snapshot perform the same discharge, and
-    // the duplicated comparator circuit is tiny next to the clauses it
-    // removes. Each range atom keeps its own group, so the conjunction
-    // over all groups is unchanged.
-    auto RangeAtomVar = [&](Term T) -> Term {
-      switch (Manager.kind(T)) {
-      case Kind::BvUle:
-      case Kind::BvUlt:
-      case Kind::BvUge:
-      case Kind::BvUgt:
-      case Kind::BvSle:
-      case Kind::BvSlt:
-      case Kind::BvSge:
-      case Kind::BvSgt:
-        break;
-      default:
-        return Term();
-      }
-      Term A = Manager.child(T, 0), B = Manager.child(T, 1);
-      if (Manager.kind(A) == Kind::Variable &&
-          Manager.kind(B) == Kind::ConstBitVec)
-        return A;
-      if (Manager.kind(B) == Kind::Variable &&
-          Manager.kind(A) == Kind::ConstBitVec)
-        return B;
-      return Term();
-    };
-    std::vector<std::pair<Term, Term>> RangeAtoms; // (variable, atom)
-    for (size_t I = 0; I < Transform.TranslatedCount; ++I)
-      if (Groups[I].size() == 1)
-        if (Term Var = RangeAtomVar(Groups[I][0]); Var.isValid())
-          RangeAtoms.push_back({Var, Groups[I][0]});
-    if (!RangeAtoms.empty()) {
-      for (std::vector<Term> &Group : Groups) {
-        if (Group.size() == 1 && RangeAtomVar(Group[0]).isValid())
-          continue; // The atom's own group stays a bare atom.
-        std::vector<Term> Mentioned =
-            Manager.collectVariables(Manager.mkAnd(Group));
-        for (const auto &[Var, Atom] : RangeAtoms)
-          if (std::find(Mentioned.begin(), Mentioned.end(), Var) !=
-              Mentioned.end())
-            Group.push_back(Atom);
-      }
-    }
-
-    ToSolve.clear();
-    for (std::vector<Term> &Group : Groups)
-      ToSolve.push_back(Group.size() == 1 ? Group[0] : Manager.mkAnd(Group));
-  }
   Outcome.TransSeconds = Timer.elapsedSeconds();
 
   // Step 3: solve the bounded constraint.
   SolveResult Bounded = Backend.solve(Manager, ToSolve, Options.Solve);
   Outcome.SolveSeconds = Bounded.TimeSeconds;
-  Outcome.CrossBlastCacheHits = Bounded.CrossBlastHits;
-  Outcome.CrossBlastCacheMisses = Bounded.CrossBlastMisses;
-  Outcome.CrossClausesReused = Bounded.CrossClausesReused;
 
   // Step 3.5: width-escalation ladder on bounded-unsat (Int lane only;
   // an optimizer would have to be re-run per step, so SLOT chaining
@@ -483,9 +408,10 @@ PortfolioResult staub::runPortfolioRacing(TermManager &Manager,
   // First result wins: whichever lane finishes with a decisive answer
   // fires the other lane's token, so the loser stops within one poll
   // interval instead of running out its timeout. A cancelled lane reports
-  // Unknown with its time-at-cancel.
-  CancellationToken CancelOriginal;
-  CancellationToken CancelStaub;
+  // Unknown with its time-at-cancel. Both tokens also stop when the
+  // caller's token does.
+  CancellationToken CancelOriginal(Options.Solve.Cancel);
+  CancellationToken CancelStaub(Options.Solve.Cancel);
 
   // Written by the lane thread, read only after join().
   SolveResult Original;

@@ -130,14 +130,7 @@ struct StaubOutcome {
   /// Session-local CNF-memo hits across all escalation steps (one
   /// incremental session; does not survive the query).
   uint64_t SessionBlastCacheHits = 0;
-  /// Cross-query shared-cache traffic for the bounded solve (zero unless
-  /// Options.Solve.Shared pointed at a SharedSolveCaches): assertions
-  /// served from the shared blast cache, assertions blasted and
-  /// inserted, and probe-learnt clauses spliced from the shared store.
-  /// Kept separate from SessionBlastCacheHits so the cross-query cache's
-  /// contribution stays attributable.
-  uint64_t CrossBlastCacheHits = 0;
-  uint64_t CrossBlastCacheMisses = 0;
+  /// Always 0; perfbench names it.
   uint64_t CrossClausesReused = 0;
   /// What the base-width unsat core looked like: -1 when the ladder never
   /// inspected it, 0 guard-free (genuine bounded unsat), 1 guard-only or

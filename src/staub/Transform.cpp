@@ -30,18 +30,12 @@ public:
   TransformResult run(const std::vector<Term> &Assertions) {
     TransformResult Result;
     for (Term Assertion : Assertions) {
-      size_t GuardsBefore = Guards.size();
       Term Translated = translate(Assertion);
       if (!Failed.empty()) {
         Result.FailReason = Failed;
         return Result;
       }
       Result.Assertions.push_back(Translated);
-      // Guards emitted while translating this assertion belong to its
-      // cone (shared subterms report to their first translator).
-      for (size_t J = GuardsBefore; J < Guards.size(); ++J)
-        Result.GuardOwner.push_back(
-            static_cast<uint32_t>(Result.Assertions.size() - 1));
     }
     // Guards go after the translated assertions (order is irrelevant for
     // satisfiability; this matches the paper's presentation in Fig. 1b).
@@ -544,15 +538,10 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
   std::vector<Term> NewAssertions(Result.Assertions.begin(),
                                   Result.Assertions.begin() +
                                       Result.TranslatedCount);
-  std::vector<uint32_t> NewOwner;
-  for (size_t J = 0; J < NumGuards; ++J) {
-    if (!Kept[J])
-      continue;
-    NewAssertions.push_back(Result.Assertions[Result.TranslatedCount + J]);
-    NewOwner.push_back(Result.GuardOwner[J]);
-  }
+  for (size_t J = 0; J < NumGuards; ++J)
+    if (Kept[J])
+      NewAssertions.push_back(Result.Assertions[Result.TranslatedCount + J]);
   Result.Assertions = std::move(NewAssertions);
-  Result.GuardOwner = std::move(NewOwner);
   unsigned Count = static_cast<unsigned>(Elided.size());
   Result.RelationalGuardsElided = Count;
   Result.GuardsEmitted -= Count;

@@ -60,15 +60,6 @@ struct TransformResult {
   /// input assertions; the remainder are overflow guards. The escalation
   /// driver splits on this to put guards behind selector literals.
   size_t TranslatedCount = 0;
-  /// GuardOwner[j] is the index (< TranslatedCount) of the translated
-  /// assertion whose translation emitted guard Assertions[TranslatedCount
-  /// + j]. A guard protects an operation inside its owner's DAG cone
-  /// (memoized shared subterms are owned by the first assertion that
-  /// translated them), so conjoining owner and guards yields a
-  /// self-contained term — the cross-query blast cache groups this way so
-  /// one cache entry carries an operation and its guard together instead
-  /// of blasting the shared cone twice.
-  std::vector<uint32_t> GuardOwner;
   /// Original variable -> bounded variable.
   std::unordered_map<uint32_t, Term> VariableMap;
   /// Chosen width (Int case) or format (Real case).

@@ -11,7 +11,8 @@
 /// produces the first decisive answer cancels the other, whose solver
 /// returns Unknown at the next check point. The token also carries an
 /// optional soft deadline so callers can fold timeout and cancellation
-/// into one poll.
+/// into one poll, and an optional parent token, so a lane-private token
+/// still stops when its caller's token fires.
 ///
 /// Solvers poll shouldStop() at coarse-grained points (every N conflicts /
 /// pivots / search nodes, not every iteration) so the fast path pays one
@@ -34,6 +35,10 @@ namespace staub {
 class CancellationToken {
 public:
   CancellationToken() = default;
+  /// A token that also stops once \p Parent (nullable; not owned, must
+  /// outlive this token) does.
+  explicit CancellationToken(const CancellationToken *Parent) noexcept
+      : Parent(Parent) {}
   CancellationToken(const CancellationToken &) = delete;
   CancellationToken &operator=(const CancellationToken &) = delete;
 
@@ -57,13 +62,16 @@ public:
     DeadlineNs.store(0, std::memory_order_release);
   }
 
-  /// The combined poll used by solver hot loops: cancelled, or past the
-  /// soft deadline. The clock is only read when a deadline is armed.
+  /// The combined poll used by solver hot loops: cancelled, past the
+  /// soft deadline, or the parent stops. The clock is only read when a
+  /// deadline is armed.
   bool shouldStop() const noexcept {
     if (isCancelled())
       return true;
     int64_t Deadline = DeadlineNs.load(std::memory_order_acquire);
-    return Deadline != 0 && nowNs() >= Deadline;
+    if (Deadline != 0 && nowNs() >= Deadline)
+      return true;
+    return Parent && Parent->shouldStop();
   }
 
 private:
@@ -73,6 +81,7 @@ private:
         .count();
   }
 
+  const CancellationToken *Parent = nullptr;
   std::atomic<bool> Cancelled{false};
   std::atomic<int64_t> DeadlineNs{0};
 };

@@ -62,6 +62,18 @@ TEST(CancellationTest, SoftDeadlineFires) {
   EXPECT_FALSE(Token.shouldStop());
 }
 
+TEST(CancellationTest, ChildStopsWithParent) {
+  CancellationToken Parent;
+  CancellationToken Child(&Parent);
+  EXPECT_FALSE(Child.shouldStop());
+  Child.cancel(); // Cancelling the child leaves the parent running.
+  EXPECT_FALSE(Parent.shouldStop());
+  CancellationToken Sibling(&Parent);
+  Parent.cancel();
+  EXPECT_TRUE(Sibling.shouldStop());
+  EXPECT_FALSE(Sibling.isCancelled()); // Polled, not copied.
+}
+
 //===--------------------------------------------------------------------===//
 // Cancelled MiniSMT calls return Unknown promptly.
 //===--------------------------------------------------------------------===//
@@ -351,6 +363,27 @@ TEST(PortfolioRacingTest, WinnerCancelsLosingLane) {
   // Far from the 60s timeout: both lanes settle instantly, so anything
   // near the timeout means the winner failed to cancel the loser.
   EXPECT_LT(Timer.elapsedSeconds(), 30.0);
+}
+
+TEST(PortfolioRacingTest, HonorsCallerCancellation) {
+  // Sum of three cubes = 4 has no integer solution (cubes are 0 or +-1
+  // mod 9), so neither lane can decide it quickly: the original lane
+  // would search until its 3 s timeout. With the caller's token already
+  // fired, both lane-private tokens must stop at their first poll.
+  ParsedConstraint P;
+  parseInto(P, "(declare-fun x () Int)(declare-fun y () Int)"
+               "(declare-fun z () Int)"
+               "(assert (= (+ (* x x x) (* y y y) (* z z z)) 4))");
+  auto Backend = createMiniSmtSolver();
+  CancellationToken Caller;
+  Caller.cancel();
+  StaubOptions Options;
+  Options.Solve.TimeoutSeconds = 3.0;
+  Options.Solve.Cancel = &Caller;
+  WallTimer Timer;
+  PortfolioResult R = runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
+  EXPECT_EQ(R.Status, SolveStatus::Unknown);
+  EXPECT_LT(Timer.elapsedSeconds(), 1.0);
 }
 
 TEST(PortfolioRacingStress, RepeatedRacesAreClean) {

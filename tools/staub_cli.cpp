@@ -299,11 +299,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "; relational zone_facts=%u relational_guards_elided=%u\n",
                  Outcome.ZoneFactsHarvested, Outcome.RelationalGuardsElided);
-    std::fprintf(stderr,
-                 "; cross-cache hits=%llu misses=%llu clauses_spliced=%llu\n",
-                 static_cast<unsigned long long>(Outcome.CrossBlastCacheHits),
-                 static_cast<unsigned long long>(Outcome.CrossBlastCacheMisses),
-                 static_cast<unsigned long long>(Outcome.CrossClausesReused));
   }
   return 0;
 }

@@ -55,7 +55,7 @@ void printUsage() {
       "usage: staub-fuzz [--seed=N] [--iters=N] [--time-budget=S] [--jobs=N]\n"
       "                  [--theory=int|real|fp] [--solve-timeout=S] [--use-z3]\n"
       "                  [--no-portfolio]\n"
-      "                  [--inject=drop-guards|bad-contract|bad-core|bad-digest\n"
+      "                  [--inject=drop-guards|bad-contract|bad-core\n"
       "                   |bad-closure]\n"
       "                  [--corpus=DIR] [--max-violations=N]\n");
 }
@@ -109,8 +109,6 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Options) {
         Options.Inject = BugInjection::BadContract;
       } else if (Bug == "bad-core") {
         Options.Inject = BugInjection::BadCore;
-      } else if (Bug == "bad-digest") {
-        Options.Inject = BugInjection::BadDigest;
       } else if (Bug == "bad-closure") {
         Options.Inject = BugInjection::BadClosure;
       } else {
@@ -154,8 +152,6 @@ int main(int Argc, char **Argv) {
                   ? " INJECT=bad-contract"
               : Options.Inject == BugInjection::BadCore
                   ? " INJECT=bad-core"
-              : Options.Inject == BugInjection::BadDigest
-                  ? " INJECT=bad-digest"
               : Options.Inject == BugInjection::BadClosure
                   ? " INJECT=bad-closure"
                   : "");

@@ -6,19 +6,15 @@
 ///
 /// \file
 /// staubd: the long-lived theory-arbitrage server. Listens on a Unix
-/// socket (or loopback TCP), answers framed SMT-LIB queries from
-/// concurrent clients (protocol in server/Protocol.h, docs/SERVER.md),
-/// and shares the sharded cross-query blast/clause caches across every
-/// query it serves — the marginal near-duplicate VC costs a cache probe
-/// instead of a fresh bit-blast.
+/// socket (or loopback TCP) and answers framed SMT-LIB queries from
+/// concurrent clients (protocol in server/Protocol.h, docs/SERVER.md)
+/// with a pool of workers, each query solved on its own.
 ///
 /// Usage:
 ///   staubd --socket=PATH | --tcp=PORT   serve (TCP port 0 = ephemeral;
 ///                                       the bound port is printed)
 /// Options:
 ///   --workers=N      worker threads (default: hardware concurrency)
-///   --cache-mb=N     blast-cache budget in MiB (default 64)
-///   --clause-mb=N    learnt-clause-store budget in MiB (default 16)
 ///   --timeout=S      default per-query solve budget (default 5)
 ///   --stats          connect to a RUNNING server instead of serving, ask
 ///                    for its counters, print them, and exit
@@ -51,16 +47,13 @@ struct DaemonOptions {
   bool UseTcp = false;
   bool StatsMode = false;
   unsigned Workers = 0;
-  size_t CacheMb = SharedSolveCaches::DefaultBlastBytes >> 20;
-  size_t ClauseMb = SharedSolveCaches::DefaultClauseBytes >> 20;
   double TimeoutSeconds = 5.0;
 };
 
 void printUsage() {
   std::fprintf(stderr,
                "usage: staubd (--socket=PATH | --tcp=PORT) [--workers=N]\n"
-               "              [--cache-mb=N] [--clause-mb=N] [--timeout=S]\n"
-               "              [--stats]\n");
+               "              [--timeout=S] [--stats]\n");
 }
 
 bool parseArgs(int Argc, char **Argv, DaemonOptions &Options) {
@@ -73,10 +66,6 @@ bool parseArgs(int Argc, char **Argv, DaemonOptions &Options) {
       Options.TcpPort = static_cast<uint16_t>(std::atoi(Arg.c_str() + 6));
     } else if (Arg.rfind("--workers=", 0) == 0) {
       Options.Workers = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
-    } else if (Arg.rfind("--cache-mb=", 0) == 0) {
-      Options.CacheMb = static_cast<size_t>(std::atoll(Arg.c_str() + 11));
-    } else if (Arg.rfind("--clause-mb=", 0) == 0) {
-      Options.ClauseMb = static_cast<size_t>(std::atoll(Arg.c_str() + 12));
     } else if (Arg.rfind("--timeout=", 0) == 0) {
       Options.TimeoutSeconds = std::atof(Arg.c_str() + 10);
     } else if (Arg == "--stats") {
@@ -146,8 +135,6 @@ int main(int Argc, char **Argv) {
   Options.SocketPath = Cli.SocketPath;
   Options.TcpPort = Cli.TcpPort;
   Options.Workers = Cli.Workers;
-  Options.BlastCacheBytes = Cli.CacheMb << 20;
-  Options.ClauseStoreBytes = Cli.ClauseMb << 20;
   Options.DefaultTimeoutSeconds = Cli.TimeoutSeconds;
 
   StaubServer Server(Options);
@@ -180,14 +167,8 @@ int main(int Argc, char **Argv) {
   SignalWatcher.join();
 
   ServerStats Stats = Server.stats();
-  std::printf("staubd: served %llu queries (%llu failed), "
-              "blast cache %llu hits / %llu misses / %llu evictions, "
-              "clause store %llu hits\n",
+  std::printf("staubd: served %llu queries (%llu failed)\n",
               static_cast<unsigned long long>(Stats.QueriesServed),
-              static_cast<unsigned long long>(Stats.QueriesFailed),
-              static_cast<unsigned long long>(Stats.Blast.Hits),
-              static_cast<unsigned long long>(Stats.Blast.Misses),
-              static_cast<unsigned long long>(Stats.Blast.Evictions),
-              static_cast<unsigned long long>(Stats.Clauses.Hits));
+              static_cast<unsigned long long>(Stats.QueriesFailed));
   return 0;
 }
