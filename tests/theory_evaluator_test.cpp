@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace staub;
 
 namespace {
@@ -203,17 +205,27 @@ TEST(EvaluatorTest, MemoizationHandlesLargeSharedDags) {
 }
 
 struct EvalCase {
-  const char *Script;
+  const char *Name;
+  const char *Assertion; // over the one integer variable x
   int64_t X;
   bool Expected;
 };
+
+// Names each case by its label and model. gtest's default printer would dump
+// the struct's bytes, and with them the addresses of the strings, which differ
+// from run to run and so rename the test with every build.
+void PrintTo(const EvalCase &Case, std::ostream *Os) {
+  *Os << Case.Name << " at x=" << Case.X;
+}
 
 class EvaluatorScriptTest : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(EvaluatorScriptTest, EvaluatesCorrectly) {
   const auto &Case = GetParam();
+  std::string Script =
+      std::string("(declare-fun x () Int)(assert ") + Case.Assertion + ")";
   TermManager M;
-  auto R = parseSmtLib(M, Case.Script);
+  auto R = parseSmtLib(M, Script);
   ASSERT_TRUE(R.Ok) << R.Error;
   Model Mod;
   Mod.set(M.lookupVariable("x"), Value(BigInt(Case.X)));
@@ -223,24 +235,15 @@ TEST_P(EvaluatorScriptTest, EvaluatesCorrectly) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, EvaluatorScriptTest,
     ::testing::Values(
-        EvalCase{"(declare-fun x () Int)(assert (> (* x x) 100))", 11, true},
-        EvalCase{"(declare-fun x () Int)(assert (> (* x x) 100))", -11, true},
-        EvalCase{"(declare-fun x () Int)(assert (> (* x x) 100))", 10, false},
-        EvalCase{"(declare-fun x () Int)(assert (= (mod x 2) 0))", 14, true},
-        EvalCase{"(declare-fun x () Int)(assert (= (mod x 2) 0))", -13,
-                 false},
-        EvalCase{"(declare-fun x () Int)(assert (distinct x 1 2 3))", 4,
-                 true},
-        EvalCase{"(declare-fun x () Int)(assert (distinct x 1 2 3))", 2,
-                 false},
-        EvalCase{"(declare-fun x () Int)(assert (ite (< x 0) (= x (- 5)) "
-                 "(= x 5)))",
-                 -5, true},
-        EvalCase{"(declare-fun x () Int)(assert (ite (< x 0) (= x (- 5)) "
-                 "(= x 5)))",
-                 5, true},
-        EvalCase{"(declare-fun x () Int)(assert (ite (< x 0) (= x (- 5)) "
-                 "(= x 5)))",
-                 3, false}));
+        EvalCase{"SquareAbove100", "(> (* x x) 100)", 11, true},
+        EvalCase{"SquareAbove100", "(> (* x x) 100)", -11, true},
+        EvalCase{"SquareAbove100", "(> (* x x) 100)", 10, false},
+        EvalCase{"Even", "(= (mod x 2) 0)", 14, true},
+        EvalCase{"Even", "(= (mod x 2) 0)", -13, false},
+        EvalCase{"DistinctFrom123", "(distinct x 1 2 3)", 4, true},
+        EvalCase{"DistinctFrom123", "(distinct x 1 2 3)", 2, false},
+        EvalCase{"AbsIs5", "(ite (< x 0) (= x (- 5)) (= x 5))", -5, true},
+        EvalCase{"AbsIs5", "(ite (< x 0) (= x (- 5)) (= x 5))", 5, true},
+        EvalCase{"AbsIs5", "(ite (< x 0) (= x (- 5)) (= x 5))", 3, false}));
 
 } // namespace
