@@ -16,6 +16,8 @@
 /// that contributed to its bound, unioned along relaxations, so a
 /// negative cycle names the exact assertions of the unsat certificate and
 /// a projected interval names the assertions that narrowed a variable.
+/// The zone fills it in; the octagon, whose callers never read it, passes
+/// empty sets.
 ///
 //===----------------------------------------------------------------------===//
 

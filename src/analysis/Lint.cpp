@@ -454,7 +454,7 @@ private:
         for (Term T : AllNodes)
           if (M.kind(T) == Kind::Variable && M.sort(T).isBitVec()) {
             unsigned W = M.sort(T).bitVecWidth();
-            Oct->addVariable(T.id(), /*IsInt=*/true);
+            Oct->addVariable(T.id());
             Oct->constrainVar(
                 T.id(), Interval::range(widthRangeLo(W), widthRangeHi(W)));
           }

@@ -13,12 +13,8 @@ using namespace staub::analysis;
 // Octagon.
 //===----------------------------------------------------------------------===//
 
-void Octagon::addVariable(uint32_t VarId, bool IsInt) {
-  auto [It, Inserted] = VarPair.try_emplace(VarId, unsigned(Vars.size()));
-  if (Inserted) {
-    Vars.push_back(VarId);
-    IsIntVar.push_back(IsInt);
-  }
+void Octagon::addVariable(uint32_t VarId) {
+  VarPair.try_emplace(VarId, unsigned(VarPair.size()));
 }
 
 void Octagon::constrainVar(uint32_t VarId, const Interval &R) {
@@ -27,9 +23,9 @@ void Octagon::constrainVar(uint32_t VarId, const Interval &R) {
   unsigned P = posNode(VarId);
   // x <= hi doubles to D(+x, -x) <= 2*hi; x >= lo to D(-x, +x) <= -2*lo.
   if (R.Hi)
-    Bounds.push_back({P, P + 1, *R.Hi + *R.Hi, 0});
+    Bounds.push_back({P, P + 1, *R.Hi + *R.Hi});
   if (R.Lo)
-    Bounds.push_back({P + 1, P, -(*R.Lo + *R.Lo), 0});
+    Bounds.push_back({P + 1, P, -(*R.Lo + *R.Lo)});
 }
 
 bool Octagon::addFact(const RelFact &F) {
@@ -38,26 +34,29 @@ bool Octagon::addFact(const RelFact &F) {
   unsigned NX = posNode(F.X) + (F.SX > 0 ? 0 : 1);
   if (F.SY == 0) {
     // SX*x <= C doubles on the signed pair: D(node(x,SX), node(x,-SX)).
-    Bounds.push_back({NX, NX ^ 1u, F.C + F.C, F.Root});
+    Bounds.push_back({NX, NX ^ 1u, F.C + F.C});
     return true;
   }
   // SX*x + SY*y <= C: val(node(x,SX)) - val(node(y,-SY)) = SX*x + SY*y,
   // recorded with its coherent dual edge.
   unsigned NYDual = posNode(F.Y) + (F.SY > 0 ? 1 : 0);
-  Bounds.push_back({NX, NYDual, F.C, F.Root});
+  Bounds.push_back({NX, NYDual, F.C});
   unsigned NY = NYDual ^ 1u;
-  Bounds.push_back({NY, NX ^ 1u, F.C, F.Root});
+  Bounds.push_back({NY, NX ^ 1u, F.C});
   return true;
 }
 
 bool Octagon::close() {
-  Matrix.emplace(unsigned(Vars.size()) * 2);
+  // The DBM's per-edge provenance stays empty: only the zone's
+  // certificates read it.
+  static const std::set<unsigned> NoSources;
+  Matrix.emplace(unsigned(VarPair.size()) * 2);
   for (const PendingBound &B : Bounds)
-    Matrix->tighten(B.I, B.J, B.C, {B.Root});
+    Matrix->tighten(B.I, B.J, B.C, NoSources);
   if (!Matrix->close())
     return false;
-  // Strong closure: alternate the octagonal strengthening (and, for Int
-  // variables, even-tightening of the doubled unary bounds) with plain
+  // Strong closure: alternate the octagonal strengthening and the
+  // even-tightening of the doubled unary bounds with plain
   // Floyd-Warshall. Two rounds lose only precision, never soundness; the
   // trailing Floyd-Warshall pass restores triangle consistency.
   unsigned N = Matrix->size();
@@ -72,25 +71,17 @@ bool Octagon::close() {
         const std::optional<Rational> &WJ = Matrix->at(J ^ 1u, J);
         if (!WJ)
           continue;
-        std::set<unsigned> Srcs = Matrix->sourcesAt(I, I ^ 1u);
-        const std::set<unsigned> &More = Matrix->sourcesAt(J ^ 1u, J);
-        Srcs.insert(More.begin(), More.end());
-        Matrix->tighten(I, J, (*WI + *WJ) / Rational(2), Srcs);
+        Matrix->tighten(I, J, (*WI + *WJ) / Rational(2), NoSources);
       }
     }
-    for (unsigned K = 0; K < Vars.size(); ++K) {
-      if (!IsIntVar[K])
+    for (unsigned Node = 0; Node < N; ++Node) {
+      const std::optional<Rational> &W = Matrix->at(Node, Node ^ 1u);
+      if (!W)
         continue;
-      for (unsigned Node : {K * 2, K * 2 + 1}) {
-        const std::optional<Rational> &W = Matrix->at(Node, Node ^ 1u);
-        if (!W)
-          continue;
-        // D(+x, -x) = 2*sup(x) must be an even integer for integral x.
-        Rational Even = Rational((*W / Rational(2)).floor()) * Rational(2);
-        if (Even < *W)
-          Matrix->tighten(Node, Node ^ 1u, Even,
-                          Matrix->sourcesAt(Node, Node ^ 1u));
-      }
+      // D(+x, -x) = 2*sup(x) must be an even integer for integral x.
+      Rational Even = Rational((*W / Rational(2)).floor()) * Rational(2);
+      if (Even < *W)
+        Matrix->tighten(Node, Node ^ 1u, Even, NoSources);
     }
     if (!Matrix->close())
       return false;
@@ -106,16 +97,11 @@ Interval Octagon::varInterval(uint32_t VarId) const {
   if (!Matrix->consistent())
     return Interval::bottom();
   unsigned P = posNode(VarId);
-  bool IsInt = IsIntVar[VarPair.at(VarId)];
   Interval Out;
-  if (const std::optional<Rational> &Hi = Matrix->at(P, P + 1)) {
-    Rational H = *Hi / Rational(2);
-    Out.Hi = IsInt ? Rational(H.floor()) : H;
-  }
-  if (const std::optional<Rational> &Lo = Matrix->at(P + 1, P)) {
-    Rational L = -(*Lo / Rational(2));
-    Out.Lo = IsInt ? Rational(L.ceil()) : L;
-  }
+  if (const std::optional<Rational> &Hi = Matrix->at(P, P + 1))
+    Out.Hi = Rational((*Hi / Rational(2)).floor());
+  if (const std::optional<Rational> &Lo = Matrix->at(P + 1, P))
+    Out.Lo = Rational((-(*Lo / Rational(2))).ceil());
   if (Out.Lo && Out.Hi && *Out.Hi < *Out.Lo)
     return Interval::bottom();
   return Out;
@@ -241,7 +227,7 @@ std::optional<LinForm> linearOf(const TermManager &M, Term T) {
 
 /// Records facts of one normalized atom `L <= R` (or `L < R`).
 void harvestRelLess(const TermManager &M, std::vector<RelFact> &Out, Term L,
-                    Term R, bool Strict, unsigned Root) {
+                    Term R, bool Strict) {
   auto CL = numericConstOf(M, L);
   auto CR = numericConstOf(M, R);
   Rational Adjust =
@@ -254,7 +240,6 @@ void harvestRelLess(const TermManager &M, std::vector<RelFact> &Out, Term L,
     F.SX = Negate ? -Form.SX : Form.SX;
     F.SY = Negate ? -Form.SY : Form.SY;
     F.C = std::move(C);
-    F.Root = Root;
     F.HasSource = Form.HasSource;
     F.SourceOp = Form.SourceOp;
     F.SourceA = Form.SourceA;
@@ -283,39 +268,33 @@ void harvestRelLess(const TermManager &M, std::vector<RelFact> &Out, Term L,
   }
 }
 
-void harvestRelFormula(const TermManager &M, std::vector<RelFact> &Out, Term T,
-                       unsigned Root) {
+void harvestRelFormula(const TermManager &M, std::vector<RelFact> &Out,
+                       Term T) {
   switch (M.kind(T)) {
   case Kind::And:
     for (Term Child : M.children(T))
-      harvestRelFormula(M, Out, Child, Root);
+      harvestRelFormula(M, Out, Child);
     return;
   case Kind::Le:
   case Kind::BvSle:
-    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false);
     return;
   case Kind::Lt:
   case Kind::BvSlt:
-    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/true,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/true);
     return;
   case Kind::Ge:
   case Kind::BvSge:
-    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false);
     return;
   case Kind::Gt:
   case Kind::BvSgt:
-    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/true,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/true);
     return;
   case Kind::Eq:
     if (M.numChildren(T) == 2 && !M.sort(M.child(T, 0)).isBool()) {
-      harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false,
-                     Root);
-      harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false,
-                     Root);
+      harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false);
+      harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false);
     }
     return;
   default:
@@ -329,8 +308,8 @@ std::vector<RelFact>
 analysis::harvestRelationalFacts(const TermManager &Manager,
                                  const std::vector<Term> &Assertions) {
   std::vector<RelFact> Out;
-  for (unsigned I = 0; I < Assertions.size(); ++I)
-    harvestRelFormula(Manager, Out, Assertions[I], I);
+  for (Term Assertion : Assertions)
+    harvestRelFormula(Manager, Out, Assertion);
   return Out;
 }
 

@@ -10,11 +10,13 @@
 /// Variable k owns two nodes, 2k (value +x_k) and 2k+1 (value -x_k); a
 /// DBM entry D(u, v) bounds val(u) - val(v), so every octagon constraint
 /// `sx*x + sy*y <= c` is the edge D(node(x, sx), node(y, -sy)) <= c.
-/// close() runs strong closure: Floyd-Warshall alternated with the
-/// octagonal strengthening step D(i,j) <= (D(i, bar i) + D(bar j, j))/2
-/// and (for Int variables) even-tightening of the doubled unary bounds,
-/// always ending on a plain Floyd-Warshall pass so the result is
-/// triangle-consistent.
+/// The octagon ranges over integer-valued variables (Int on the original
+/// side, bitvectors on the bounded side). close() runs strong closure:
+/// Floyd-Warshall alternated with the octagonal strengthening step
+/// D(i,j) <= (D(i, bar i) + D(bar j, j))/2 and even-tightening of the
+/// doubled unary bounds, always ending on a plain Floyd-Warshall pass so
+/// the result is triangle-consistent. Unlike the zone, the octagon
+/// records no provenance: no caller reads it.
 ///
 /// Facts are harvested from assertion atoms in a canonical form
 /// (`RelFact`) that records *which* overflow-capable operation the atom
@@ -53,8 +55,6 @@ struct RelFact {
   int SX = 1;     ///< +1 or -1.
   int SY = 0;     ///< +1, -1, or 0 (unary).
   Rational C;
-  /// Index of the assertion the fact came from.
-  unsigned Root = 0;
   /// True when the atom reads through an Add/Sub/Neg (or BvAdd/BvSub/
   /// BvNeg) node whose overflow behaviour conditions the fact.
   bool HasSource = false;
@@ -93,14 +93,13 @@ GuardKey relFactSourceKey(const RelFact &F);
 std::vector<RelFact> harvestRelationalFacts(const TermManager &Manager,
                                             const std::vector<Term> &Assertions);
 
-/// An octagon under construction: variables register with their
-/// integrality, facts accumulate, close() builds and strongly closes the
-/// signed-node DBM.
+/// An octagon under construction: integer-valued variables register,
+/// facts accumulate, close() builds and strongly closes the signed-node
+/// DBM.
 class Octagon {
 public:
-  /// Registers \p VarId (idempotent). \p IsInt enables the integer
-  /// tightenings for this variable.
-  void addVariable(uint32_t VarId, bool IsInt);
+  /// Registers the integer-valued variable \p VarId (idempotent).
+  void addVariable(uint32_t VarId);
 
   bool hasVariable(uint32_t VarId) const { return VarPair.count(VarId) != 0; }
 
@@ -130,12 +129,10 @@ private:
   struct PendingBound {
     unsigned I, J;
     Rational C;
-    unsigned Root;
   };
 
+  /// Variable id -> its index k (nodes 2k and 2k+1).
   std::unordered_map<uint32_t, unsigned> VarPair;
-  std::vector<uint32_t> Vars;
-  std::vector<bool> IsIntVar;
   std::vector<PendingBound> Bounds;
   std::optional<Dbm> Matrix;
 };

@@ -359,13 +359,13 @@ struct GuardCandidate {
 };
 
 /// The relational elision post-pass: discharges kept guards the octagon
-/// domain proves safe. Elision is sequential — one guard at a time, with
-/// every previously elided guard re-proven against the shrunken kept set
-/// — so the final state satisfies staub-lint's one-pass rule: each elided
-/// guard is provable from exactly the facts whose source operations are
-/// still guarded (or classically safe). Facts sourced from an op whose
-/// guard we elide stop being usable, which is what makes early elisions
-/// need revalidation.
+/// domain proves safe. Elision is sequential — one guard at a time, in
+/// one pass over the candidates, with every previously elided guard
+/// re-proven against the shrunken kept set — so the final state satisfies
+/// staub-lint's one-pass rule: each elided guard is provable from exactly
+/// the facts whose source operations are still guarded (or classically
+/// safe). Facts sourced from an op whose guard we elide stop being usable,
+/// which is what makes early elisions need revalidation.
 void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
                      unsigned Width, TransformResult &Result) {
   std::vector<analysis::RelFact> Facts =
@@ -455,15 +455,22 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
 
   std::vector<char> Kept(NumGuards, 1);
 
-  // Original-side keys of the kept guards that can source facts (fact
-  // source operations always have variable operands).
+  // Original-side keys of the guards that can source facts (fact source
+  // operations always have variable operands). Taken from every keyed
+  // candidate before the pre-filter below: a guard it drops stays in the
+  // output, so the facts it protects stay valid, as lint sees them.
+  std::vector<std::pair<size_t, analysis::GuardKey>> GuardKeys;
+  for (const GuardCandidate &C : Cands)
+    if (C.Keyed)
+      GuardKeys.emplace_back(
+          C.Index, analysis::makeGuardKey(C.Pred, C.OrigA.id(),
+                                          C.OrigB.isValid() ? C.OrigB.id()
+                                                            : UINT32_MAX));
   auto KeysOf = [&](const std::vector<char> &KeptNow) {
     std::set<analysis::GuardKey> Keys;
-    for (const GuardCandidate &C : Cands)
-      if (KeptNow[C.Index] && C.Keyed)
-        Keys.insert(analysis::makeGuardKey(
-            C.Pred, C.OrigA.id(),
-            C.OrigB.isValid() ? C.OrigB.id() : UINT32_MAX));
+    for (const auto &[Index, Key] : GuardKeys)
+      if (KeptNow[Index])
+        Keys.insert(Key);
     return Keys;
   };
 
@@ -483,7 +490,7 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
   auto BuildOctagon = [&](const std::set<analysis::GuardKey> &Keys) {
     analysis::Octagon Oct;
     for (const auto &[OrigId, Mapped] : Result.VariableMap) {
-      Oct.addVariable(OrigId, /*IsInt=*/true);
+      Oct.addVariable(OrigId);
       Oct.constrainVar(OrigId, WidthRange);
     }
     for (const analysis::RelFact &F : Facts)
@@ -508,28 +515,26 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
     });
   }
 
+  // One forward pass. The kept set only shrinks, so the usable facts only
+  // shrink; closure and the oracle are monotone in them; and the set of
+  // elided guards to revalidate only grows. A candidate that fails once
+  // would fail on every retry, so rescanning after an elision finds
+  // nothing new.
   std::vector<size_t> Elided; // Indices into Cands, in elision order.
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (size_t CI = 0; CI < Cands.size() && !Progress; ++CI) {
-      const GuardCandidate &C = Cands[CI];
-      if (!Kept[C.Index])
-        continue;
-      std::vector<char> Next = Kept;
-      Next[C.Index] = 0;
-      analysis::Octagon Oct = BuildOctagon(KeysOf(Next));
-      bool Ok = Provable(C, Oct);
-      for (size_t EI : Elided) {
-        if (!Ok)
-          break;
-        Ok = Provable(Cands[EI], Oct);
-      }
-      if (Ok) {
-        Kept = std::move(Next);
-        Elided.push_back(CI);
-        Progress = true;
-      }
+  for (size_t CI = 0; CI < Cands.size(); ++CI) {
+    const GuardCandidate &C = Cands[CI];
+    std::vector<char> Next = Kept;
+    Next[C.Index] = 0;
+    analysis::Octagon Oct = BuildOctagon(KeysOf(Next));
+    bool Ok = Provable(C, Oct);
+    for (size_t EI : Elided) {
+      if (!Ok)
+        break;
+      Ok = Provable(Cands[EI], Oct);
+    }
+    if (Ok) {
+      Kept = std::move(Next);
+      Elided.push_back(CI);
     }
   }
   if (Elided.empty())

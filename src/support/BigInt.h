@@ -7,7 +7,10 @@
 ///
 /// \file
 /// Arbitrary-precision signed integer arithmetic. Values are stored as a
-/// sign flag plus a little-endian vector of 32-bit limbs. The class
+/// sign flag plus little-endian 32-bit limbs. Magnitudes below 2^64 (at
+/// most two limbs) live in an inline buffer and never touch the heap;
+/// `+`, `-`, `*`, `<` and division on them run on machine words and fall
+/// back to the limb algorithms when a result outgrows a word. The class
 /// provides both truncated division (C semantics) and Euclidean division
 /// (SMT-LIB `div`/`mod` semantics, where the remainder is non-negative).
 ///
@@ -20,7 +23,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace staub {
 
@@ -28,10 +30,49 @@ namespace staub {
 class BigInt {
 public:
   /// Constructs zero.
-  BigInt() = default;
+  BigInt() : Small{0, 0} {}
 
   /// Constructs from a machine integer.
-  BigInt(int64_t Value);
+  BigInt(int64_t Value) : Negative(Value < 0) {
+    // Avoid UB on INT64_MIN by negating in unsigned arithmetic.
+    setWord(Negative ? ~static_cast<uint64_t>(Value) + 1
+                     : static_cast<uint64_t>(Value));
+  }
+
+  BigInt(const BigInt &Other) : Size(Other.Size), Negative(Other.Negative) {
+    if (Other.onHeap())
+      copyHeapLimbs(Other);
+    else
+      copyInlineLimbs(Other);
+  }
+
+  BigInt(BigInt &&Other) noexcept
+      : Size(Other.Size), Capacity(Other.Capacity), Negative(Other.Negative) {
+    if (onHeap())
+      Large = Other.Large;
+    else
+      copyInlineLimbs(Other);
+    Other.reset();
+  }
+
+  BigInt &operator=(const BigInt &Other);
+
+  BigInt &operator=(BigInt &&Other) noexcept {
+    if (this != &Other) {
+      release();
+      Size = Other.Size;
+      Capacity = Other.Capacity;
+      Negative = Other.Negative;
+      if (onHeap())
+        Large = Other.Large;
+      else
+        copyInlineLimbs(Other);
+      Other.reset();
+    }
+    return *this;
+  }
+
+  ~BigInt() { release(); }
 
   /// Parses a decimal string with an optional leading '-'. Returns
   /// std::nullopt on malformed input.
@@ -41,13 +82,13 @@ public:
   static BigInt pow2(unsigned Exp);
 
   /// Returns true if the value is zero.
-  bool isZero() const { return Limbs.empty(); }
+  bool isZero() const { return Size == 0; }
 
   /// Returns true if the value is strictly negative.
   bool isNegative() const { return Negative; }
 
   /// Returns true if the value is one.
-  bool isOne() const { return !Negative && Limbs.size() == 1 && Limbs[0] == 1; }
+  bool isOne() const { return !Negative && Size == 1 && Small[0] == 1; }
 
   /// Returns -1, 0, or 1 according to the sign of the value.
   int sign() const { return isZero() ? 0 : (Negative ? -1 : 1); }
@@ -123,24 +164,68 @@ public:
   size_t hash() const;
 
 private:
-  /// Little-endian 32-bit limbs of the magnitude; no trailing zero limbs.
-  /// An empty vector represents zero.
-  std::vector<uint32_t> Limbs;
+  /// Limbs held inline: every magnitude below 2^64.
+  static constexpr uint32_t InlineLimbs = 2;
+
+  /// Little-endian 32-bit limbs of the magnitude; no trailing zero limbs,
+  /// so zero has none. A magnitude of at most InlineLimbs limbs lives in
+  /// Small, whose unused limbs are zero; a longer one lives in the heap
+  /// array Large of Capacity limbs. Capacity is 0 exactly when the limbs
+  /// are inline.
+  union {
+    uint32_t Small[InlineLimbs];
+    uint32_t *Large;
+  };
+  uint32_t Size = 0;
+  uint32_t Capacity = 0;
   bool Negative = false;
 
+  bool onHeap() const { return Capacity != 0; }
+  const uint32_t *limbs() const { return onHeap() ? Large : Small; }
+  uint32_t *limbs() { return onHeap() ? Large : Small; }
+
+  /// The magnitude of an inline value as one machine word.
+  uint64_t word() const { return Small[0] | uint64_t(Small[1]) << 32; }
+  /// Sets the inline magnitude (the sign is left alone).
+  void setWord(uint64_t Magnitude) {
+    Small[0] = static_cast<uint32_t>(Magnitude);
+    Small[1] = static_cast<uint32_t>(Magnitude >> 32);
+    Size = Small[1] ? 2 : (Small[0] ? 1 : 0);
+  }
+  static BigInt fromWord(uint64_t Magnitude, bool Negative);
+
+  void copyInlineLimbs(const BigInt &Other) {
+    Small[0] = Other.Small[0];
+    Small[1] = Other.Small[1];
+  }
+  /// Gives this (empty-capacity) value a heap copy of Other's limbs.
+  void copyHeapLimbs(const BigInt &Other);
+  void release() {
+    if (onHeap())
+      delete[] Large;
+    Capacity = 0;
+  }
+  /// Leaves a moved-from value as an inline zero.
+  void reset() {
+    Small[0] = Small[1] = 0;
+    Size = Capacity = 0;
+    Negative = false;
+  }
+  /// Extends the magnitude to \p NewSize limbs (>= size), keeping the
+  /// current limbs and zeroing the new ones; goes to the heap past the
+  /// inline buffer.
+  void grow(uint32_t NewSize);
+  /// Drops trailing zero limbs, moves a magnitude that fits back inline,
+  /// and clears the sign of zero.
   void trim();
+
+  /// a + b, where \p BNegative stands in for b's sign (flipped for a - b).
+  static BigInt add(const BigInt &A, const BigInt &B, bool BNegative);
   static int compareMagnitude(const BigInt &A, const BigInt &B);
-  static std::vector<uint32_t> addMagnitude(const std::vector<uint32_t> &A,
-                                            const std::vector<uint32_t> &B);
-  /// Requires |A| >= |B|.
-  static std::vector<uint32_t> subMagnitude(const std::vector<uint32_t> &A,
-                                            const std::vector<uint32_t> &B);
-  static std::vector<uint32_t> mulMagnitude(const std::vector<uint32_t> &A,
-                                            const std::vector<uint32_t> &B);
-  /// Magnitude division; returns quotient, sets \p Remainder.
-  static std::vector<uint32_t> divModMagnitude(const std::vector<uint32_t> &A,
-                                               const std::vector<uint32_t> &B,
-                                               std::vector<uint32_t> &Remainder);
+  /// Sets \p Quotient and \p Remainder, two fresh zeros, to |A| / |B| and
+  /// |A| mod |B|.
+  static void divModMagnitude(const BigInt &A, const BigInt &B,
+                              BigInt &Quotient, BigInt &Remainder);
 };
 
 } // namespace staub

@@ -88,10 +88,14 @@ Rational Rational::inverse() const {
 }
 
 Rational Rational::operator+(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num + RHS.Num);
   return Rational(Num * RHS.Den + RHS.Num * Den, Den * RHS.Den);
 }
 
 Rational Rational::operator-(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num - RHS.Num);
   return Rational(Num * RHS.Den - RHS.Num * Den, Den * RHS.Den);
 }
 
@@ -105,10 +109,14 @@ Rational Rational::operator/(const Rational &RHS) const {
 }
 
 bool Rational::operator<(const Rational &RHS) const {
+  if (Den == RHS.Den)
+    return Num < RHS.Num;
   return Num * RHS.Den < RHS.Num * Den;
 }
 
 bool Rational::operator<=(const Rational &RHS) const {
+  if (Den == RHS.Den)
+    return Num <= RHS.Num;
   return Num * RHS.Den <= RHS.Num * Den;
 }
 

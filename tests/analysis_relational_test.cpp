@@ -250,15 +250,13 @@ TEST(ZoneTest, EmptySeedRangeIsContradiction) {
 // Octagon domain.
 //===--------------------------------------------------------------------===//
 
-RelFact fact(uint32_t X, int SX, uint32_t Y, int SY, int64_t C,
-             unsigned Root) {
+RelFact fact(uint32_t X, int SX, uint32_t Y, int SY, int64_t C) {
   RelFact F;
   F.X = X;
   F.SX = SX;
   F.Y = Y;
   F.SY = SY;
   F.C = Q(C);
-  F.Root = Root;
   return F;
 }
 
@@ -267,11 +265,11 @@ TEST(OctagonTest, SignedEncodingRoundTripsPairBounds) {
   Term X = M.mkVariable("x", Sort::integer());
   Term Y = M.mkVariable("y", Sort::integer());
   Octagon Oct;
-  Oct.addVariable(X.id(), /*IsInt=*/true);
-  Oct.addVariable(Y.id(), /*IsInt=*/true);
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5, 0)));  // x + y <= 5
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 1, 1))); // x - y <= 1
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, 0, 0, 0, 2)));      // -x <= 0
+  Oct.addVariable(X.id());
+  Oct.addVariable(Y.id());
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5)));  // x + y <= 5
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 1))); // x - y <= 1
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, 0, 0, 0)));      // -x <= 0
   ASSERT_TRUE(Oct.close());
   ASSERT_TRUE(Oct.consistent());
   auto Sum = Oct.pairUpper(X.id(), 1, Y.id(), 1);
@@ -294,10 +292,10 @@ TEST(OctagonTest, IntegerTighteningRoundsOddUnaryBoundsDown) {
   Term X = M.mkVariable("x", Sort::integer());
   Term Y = M.mkVariable("y", Sort::integer());
   Octagon Oct;
-  Oct.addVariable(X.id(), /*IsInt=*/true);
-  Oct.addVariable(Y.id(), /*IsInt=*/true);
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5, 0)));
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 0, 1)));
+  Oct.addVariable(X.id());
+  Oct.addVariable(Y.id());
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5)));
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 0)));
   ASSERT_TRUE(Oct.close());
   Interval IX = Oct.varInterval(X.id());
   ASSERT_TRUE(IX.Hi.has_value());
@@ -309,10 +307,10 @@ TEST(OctagonTest, ContradictoryFactsAreInconsistent) {
   Term X = M.mkVariable("x", Sort::integer());
   Term Y = M.mkVariable("y", Sort::integer());
   Octagon Oct;
-  Oct.addVariable(X.id(), true);
-  Oct.addVariable(Y.id(), true);
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 0, 0)));   // x + y <= 0
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), -1, -1, 1))); // -x - y <= -1
+  Oct.addVariable(X.id());
+  Oct.addVariable(Y.id());
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 0)));   // x + y <= 0
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), -1, -1))); // -x - y <= -1
   EXPECT_FALSE(Oct.close());
   EXPECT_FALSE(Oct.consistent());
 }
@@ -322,9 +320,9 @@ TEST(OctagonTest, FactsReferencingUnregisteredVariablesAreIgnored) {
   Term X = M.mkVariable("x", Sort::integer());
   Term Y = M.mkVariable("y", Sort::integer());
   Octagon Oct;
-  Oct.addVariable(X.id(), true);
-  EXPECT_FALSE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5, 0)));
-  EXPECT_TRUE(Oct.addFact(fact(X.id(), 1, 0, 0, 7, 1)));
+  Oct.addVariable(X.id());
+  EXPECT_FALSE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5)));
+  EXPECT_TRUE(Oct.addFact(fact(X.id(), 1, 0, 0, 7)));
 }
 
 TEST(OctagonTest, HarvestRecognizesSumDiffNegAndVarAtoms) {
@@ -382,10 +380,10 @@ TEST(OctagonTest, RelationalOverflowOracleUsesPairBounds) {
   Term X = M.mkVariable("x", Sort::integer());
   Term Y = M.mkVariable("y", Sort::integer());
   Octagon Oct;
-  Oct.addVariable(X.id(), true);
-  Oct.addVariable(Y.id(), true);
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 3, 0)));
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), 1, 3, 1)));
+  Oct.addVariable(X.id());
+  Oct.addVariable(Y.id());
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 3)));
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), 1, 3)));
   ASSERT_TRUE(Oct.close());
   EXPECT_TRUE(relationalOverflowImpossible(M, Kind::BvSSubO, X, Y,
                                            Interval::top(), Interval::top(),
@@ -401,10 +399,10 @@ TEST(OctagonTest, InconsistentOctagonDischargesEveryGuard) {
   Term X = M.mkVariable("x", Sort::integer());
   Term Y = M.mkVariable("y", Sort::integer());
   Octagon Oct;
-  Oct.addVariable(X.id(), true);
-  Oct.addVariable(Y.id(), true);
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 0, 0)));
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), -1, -1, 1)));
+  Oct.addVariable(X.id());
+  Oct.addVariable(Y.id());
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 0)));
+  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), -1, -1)));
   ASSERT_FALSE(Oct.close());
   EXPECT_TRUE(relationalOverflowImpossible(M, Kind::BvSMulO, X, Y,
                                            Interval::top(), Interval::top(),

@@ -10,10 +10,13 @@
 /// the chosen width. Units pin exact elide/emit counts on hand-built
 /// constraints; a metamorphic check shows elision never changes the
 /// pipeline verdict; an aggregate check enforces the >= 20% elision rate
-/// on the benchgen Int suites that range facts were added for.
+/// on the benchgen Int suites that range facts were added for. Relational
+/// (octagon) elision is pinned per family on the correlated suite, and a
+/// guard the pre-filter drops must still source facts for the others.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Lint.h"
 #include "benchgen/Generators.h"
 #include "solver/Solver.h"
 #include "staub/BoundInference.h"
@@ -21,6 +24,9 @@
 #include "staub/Transform.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 using namespace staub;
 
@@ -150,6 +156,74 @@ TEST(GuardElisionTest, IntSuiteElisionRateAtLeastTwentyPercent) {
   EXPECT_GE(Elided * 5, Emitted + Elided)
       << "elision rate " << (100.0 * double(Elided) / double(Emitted + Elided))
       << "% fell below the 20% acceptance bar";
+}
+
+TEST(GuardElisionTest, PrefilteredKeptGuardsStillSourceFacts) {
+  // At width 8, x - y reaches -130, so the bvssubo guard is unprovable
+  // and the pre-filter drops it from the candidates; it stays in the
+  // output, so its fact x - y <= 3 is valid. With y <= 10 it bounds
+  // x <= 13, and x + 100 <= 113 fits: the bvsaddo guard must elide.
+  TermManager M;
+  Term X = M.mkVariable("gp_x", Sort::integer());
+  Term Y = M.mkVariable("gp_y", Sort::integer());
+  auto C = [&](int64_t V) { return M.mkIntConst(BigInt(V)); };
+  std::vector<Term> Assertions = {
+      M.mkCompare(Kind::Le, M.mkSub(std::vector<Term>{X, Y}), C(3)),
+      M.mkCompare(Kind::Le, Y, C(10)),
+      M.mkCompare(Kind::Ge, X, C(-120)),
+      M.mkCompare(Kind::Ge, Y, C(-120)),
+      M.mkCompare(Kind::Le, M.mkAdd(std::vector<Term>{X, C(100)}), C(120))};
+  TransformResult T = transformIntToBv(M, Assertions, 8);
+  ASSERT_TRUE(T.Ok);
+  EXPECT_EQ(T.RelationalGuardsElided, 1u);
+  ASSERT_EQ(T.Assertions.size(), T.TranslatedCount + 1);
+  Term Guard = T.Assertions.back();
+  ASSERT_EQ(M.kind(Guard), Kind::Not);
+  EXPECT_EQ(M.kind(M.child(Guard, 0)), Kind::BvSSubO);
+  analysis::LintReport Report =
+      analysis::lintTranslation(M, Assertions, T.Assertions, T.VariableMap);
+  EXPECT_TRUE(Report.clean()) << Report.toString();
+}
+
+/// The STAUB outcome every instance of one correlated-suite family gets.
+struct PinnedOutcome {
+  unsigned GuardsEmitted, GuardsElided, RelationalGuardsElided, ChosenWidth;
+  StaubPath Path;
+};
+
+TEST(GuardElisionTest, CorrelatedSuiteRelationalElisionIsPinned) {
+  // Cycles are decided by zone-closure presolve and translate nothing.
+  // A chain's guards all elide classically but one; a band's consumer
+  // bvssubo is the one guard only the octagon discharges.
+  const std::map<std::string, PinnedOutcome> Expected = {
+      {"CorrNegCycle", {0, 0, 0, 0, StaubPath::PresolvedUnsat}},
+      {"CorrSatCycle", {0, 0, 0, 0, StaubPath::PresolvedSat}},
+      {"CorrChain", {1, 20, 0, 11, StaubPath::VerifiedSat}},
+      {"CorrBands", {9, 1, 1, 8, StaubPath::VerifiedSat}},
+  };
+  auto Mini = createMiniSmtSolver();
+  StaubOptions Options;
+  Options.Solve.TimeoutSeconds = 20.0;
+  for (uint64_t Seed : {42u, 1009u}) {
+    BenchConfig Config;
+    Config.Seed = Seed;
+    Config.Count = 24;
+    TermManager M;
+    for (const GeneratedConstraint &C : generateCorrelatedSuite(M, Config)) {
+      SCOPED_TRACE(C.Name + " at seed " + std::to_string(Seed));
+      ASSERT_EQ(Expected.count(C.Family), 1u) << C.Family;
+      const PinnedOutcome &E = Expected.at(C.Family);
+      StaubOutcome O = runStaub(M, C.Assertions, *Mini, Options);
+      EXPECT_EQ(O.GuardsEmitted, E.GuardsEmitted);
+      EXPECT_EQ(O.GuardsElided, E.GuardsElided);
+      EXPECT_EQ(O.RelationalGuardsElided, E.RelationalGuardsElided);
+      EXPECT_EQ(O.ChosenWidth, E.ChosenWidth);
+      EXPECT_EQ(O.Path, E.Path) << toString(O.Path);
+      analysis::LintReport Report =
+          analysis::lintBounded(M, O.BoundedAssertions);
+      EXPECT_TRUE(Report.clean()) << Report.toString();
+    }
+  }
 }
 
 } // namespace

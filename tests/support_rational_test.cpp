@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 using namespace staub;
 
 namespace {
@@ -128,5 +131,24 @@ INSTANTIATE_TEST_SUITE_P(
                       RationalFieldCase{1000000, 7, -3, 1000003},
                       RationalFieldCase{-1, 1, -1, 1},
                       RationalFieldCase{123456789, 987654321, -5, 8}));
+
+TEST(RationalTest, IntegerFastPathsMatchCrossMultiplication) {
+  const std::vector<Rational> Values = {
+      Rational(0),  Rational(1),  Rational(-1),
+      Rational(7),  Rational(-7), Rational(BigInt::pow2(70)),
+      Rational(BigInt::pow2(70).negated()),
+      Rational(BigInt(-3), BigInt(7)), Rational(BigInt(2), BigInt(7)),
+      Rational(BigInt(5), BigInt(-6))};
+  for (const Rational &A : Values)
+    for (const Rational &B : Values) {
+      const BigInt &AN = A.numerator(), &AD = A.denominator();
+      const BigInt &BN = B.numerator(), &BD = B.denominator();
+      std::string Names = A.toString() + ", " + B.toString();
+      EXPECT_EQ(A + B, Rational(AN * BD + BN * AD, AD * BD)) << Names;
+      EXPECT_EQ(A - B, Rational(AN * BD - BN * AD, AD * BD)) << Names;
+      EXPECT_EQ(A < B, AN * BD < BN * AD) << Names;
+      EXPECT_EQ(A <= B, AN * BD <= BN * AD) << Names;
+    }
+}
 
 } // namespace
