@@ -46,7 +46,6 @@ EvalRecord evaluateOne(TermManager &Manager, const GeneratedConstraint &C,
   R.ZoneFactsHarvested = Outcome.ZoneFactsHarvested;
   R.RelationalGuardsElided = Outcome.RelationalGuardsElided;
   R.EscalationSteps = Outcome.EscalationSteps;
-  R.ClausesReused = Outcome.ClausesReused;
   R.SessionBlastCacheHits = Outcome.SessionBlastCacheHits;
   R.Presolve = Outcome.Presolve;
 
@@ -107,7 +106,6 @@ void evaluateOneConfigs(TermManager &Manager, const GeneratedConstraint &C,
     R.ZoneFactsHarvested = Outcome.ZoneFactsHarvested;
     R.RelationalGuardsElided = Outcome.RelationalGuardsElided;
     R.EscalationSteps = Outcome.EscalationSteps;
-    R.ClausesReused = Outcome.ClausesReused;
     R.SessionBlastCacheHits = Outcome.SessionBlastCacheHits;
     R.Presolve = Outcome.Presolve;
     if (C.Expected && *C.Expected == SolveStatus::Unsat &&

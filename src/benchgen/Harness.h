@@ -45,7 +45,6 @@ struct EvalRecord {
   unsigned RelationalGuardsElided = 0;
   /// Width-escalation ladder counters (staub/Staub.h).
   unsigned EscalationSteps = 0;
-  uint64_t ClausesReused = 0;
   uint64_t SessionBlastCacheHits = 0;
   /// Presolver counters for this run (analysis/Presolve.h).
   analysis::PresolveStats Presolve;

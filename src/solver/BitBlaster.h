@@ -42,8 +42,7 @@ public:
   Model extractModel(const std::vector<Term> &Variables) const;
 
   /// Memo hits in encodeBool/encodeBv: subterms whose CNF was reused
-  /// instead of re-blasted. Across escalation steps this counts the
-  /// encoding work the incremental session saved.
+  /// instead of re-blasted.
   uint64_t cacheHits() const { return CacheHits; }
 
 private:

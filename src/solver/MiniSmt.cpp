@@ -274,16 +274,17 @@ private:
   }
 };
 
-/// Bounds how long one SAT call may run, derived from the wall deadline
-/// and the caller's cancellation token.
+/// Runs \p Solver under \p Assumptions in chunks of 2000 conflicts until
+/// it answers, the wall deadline passes, or \p Cancel fires.
 SatStatus solveSatWithDeadline(SatSolver &Solver, WallTimer &Timer,
                                double TimeoutSeconds,
-                               const CancellationToken *Cancel) {
+                               const CancellationToken *Cancel,
+                               const std::vector<Lit> &Assumptions = {}) {
   for (;;) {
     SatBudget Chunk;
     Chunk.MaxConflicts = 2000;
     Chunk.Cancel = Cancel;
-    SatStatus Status = Solver.solve(Chunk);
+    SatStatus Status = Solver.solve(Chunk, Assumptions);
     if (Status != SatStatus::Unknown)
       return Status;
     if (Timer.elapsedSeconds() > TimeoutSeconds || stopRequested(Cancel))
@@ -291,74 +292,71 @@ SatStatus solveSatWithDeadline(SatSolver &Solver, WallTimer &Timer,
   }
 }
 
-/// One SatSolver + BitBlaster kept alive across escalation steps.
-/// Frames are MiniSat-style relaxation groups: every clause of a frame is
-/// extended with the negated frame selector, so omitting the selector
-/// from the assumptions turns the whole frame off without erasing the
-/// learnt clauses it seeded.
+/// The escalation ladder's session: a fresh SatSolver + BitBlaster per
+/// frame. Nothing would carry over between frames: a wider frame's terms
+/// have other sorts, so the CNF memo only hits within a frame, and the
+/// learnt clauses of a retired width mention only its variables. The hard
+/// assertions go in as units, so blasting simplifies them at level 0;
+/// each guard sits behind its own selector, which solve() assumes.
 class MiniSmtIncrementalBv : public IncrementalBvSession {
 public:
   explicit MiniSmtIncrementalBv(const TermManager &Manager)
-      : Blaster(Manager, Sat) {}
+      : Manager(Manager) {}
 
   void pushFrame(const std::vector<Term> &Hard,
                  const std::vector<Term> &Guards) override {
-    FrameSelector = Lit(Sat.newVar(), false);
+    if (Current)
+      RetiredCacheHits += Current->Blaster.cacheHits();
+    // Free the retired width before blasting the next one.
+    Current.reset();
+    Current = std::make_unique<Frame>(Manager);
     for (Term Assertion : Hard)
-      Sat.addBinary(~FrameSelector, Blaster.encodeBool(Assertion));
-    GuardSelectors.clear();
+      Current->Blaster.assertTrue(Assertion);
     for (Term Guard : Guards) {
-      Lit Selector = Lit(Sat.newVar(), false);
-      Sat.addBinary(~Selector, Blaster.encodeBool(Guard));
-      GuardSelectors.push_back(Selector);
+      Lit Selector = Lit(Current->Sat.newVar(), false);
+      Current->Sat.addBinary(~Selector, Current->Blaster.encodeBool(Guard));
+      Current->GuardSelectors.push_back(Selector);
     }
   }
 
   SolveStatus solve(const SolverOptions &Options) override {
-    if (SolveCalls++ > 0)
-      ClausesReusedTotal += Sat.numLearnts();
-    std::vector<Lit> Assumptions;
-    Assumptions.push_back(FrameSelector);
-    Assumptions.insert(Assumptions.end(), GuardSelectors.begin(),
-                       GuardSelectors.end());
     WallTimer Timer;
-    for (;;) {
-      SatBudget Chunk;
-      Chunk.MaxConflicts = 2000;
-      Chunk.Cancel = Options.Cancel;
-      SatStatus Status = Sat.solve(Chunk, Assumptions);
-      if (Status == SatStatus::Sat)
-        return SolveStatus::Sat;
-      if (Status == SatStatus::Unsat) {
-        CoreHasGuards = false;
-        for (Lit Failed : Sat.failedAssumptions())
-          for (Lit Selector : GuardSelectors)
-            if (Failed == Selector)
-              CoreHasGuards = true;
-        return SolveStatus::Unsat;
-      }
-      if (Timer.elapsedSeconds() > Options.TimeoutSeconds ||
-          stopRequested(Options.Cancel))
-        return SolveStatus::Unknown;
-    }
+    SatStatus Status =
+        solveSatWithDeadline(Current->Sat, Timer, Options.TimeoutSeconds,
+                             Options.Cancel, Current->GuardSelectors);
+    if (Status == SatStatus::Sat)
+      return SolveStatus::Sat;
+    if (Status == SatStatus::Unknown)
+      return SolveStatus::Unknown;
+    // Only guard selectors are assumed, so any failed assumption is a
+    // guard; an empty core means the hard assertions alone are unsat.
+    CoreHasGuards = !Current->Sat.failedAssumptions().empty();
+    return SolveStatus::Unsat;
   }
 
   bool coreHasGuards() const override { return CoreHasGuards; }
 
   Model model(const std::vector<Term> &Variables) const override {
-    return Blaster.extractModel(Variables);
+    return Current->Blaster.extractModel(Variables);
   }
 
-  uint64_t clausesReused() const override { return ClausesReusedTotal; }
-  uint64_t blastCacheHits() const override { return Blaster.cacheHits(); }
+  uint64_t clausesReused() const override { return 0; }
+  uint64_t blastCacheHits() const override {
+    return RetiredCacheHits + (Current ? Current->Blaster.cacheHits() : 0);
+  }
 
 private:
-  SatSolver Sat;
-  BitBlaster Blaster;
-  Lit FrameSelector;
-  std::vector<Lit> GuardSelectors;
-  unsigned SolveCalls = 0;
-  uint64_t ClausesReusedTotal = 0;
+  /// One width's solver. Blaster refers to Sat, so a Frame never moves.
+  struct Frame {
+    explicit Frame(const TermManager &Manager) : Blaster(Manager, Sat) {}
+    SatSolver Sat;
+    BitBlaster Blaster;
+    std::vector<Lit> GuardSelectors;
+  };
+
+  const TermManager &Manager;
+  std::unique_ptr<Frame> Current;
+  uint64_t RetiredCacheHits = 0;
   bool CoreHasGuards = false;
 };
 

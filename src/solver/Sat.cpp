@@ -93,40 +93,48 @@ bool SatSolver::modelValue(unsigned Var) const {
   return Assigns[Var - 1] == LBool::True;
 }
 
-uint32_t SatSolver::allocClause(std::vector<Lit> Lits, bool Learnt) {
-  uint32_t Index;
-  if (!FreeClauseSlots.empty()) {
-    Index = FreeClauseSlots.back();
-    FreeClauseSlots.pop_back();
-    Clauses[Index].Lits = std::move(Lits);
-    Clauses[Index].Learnt = Learnt;
-    Clauses[Index].Activity = 0.0;
-  } else {
-    Index = static_cast<uint32_t>(Clauses.size());
-    Clauses.push_back({std::move(Lits), 0.0, Learnt});
+/// Appends \p Lits to the pool as a clause, reusing the most recently
+/// freed slot first.
+uint32_t SatSolver::allocClause(const Lit *Lits, size_t Size, bool Learnt) {
+  Clause C;
+  C.Begin = LitPool.size();
+  C.Size = static_cast<uint32_t>(Size);
+  C.Learnt = Learnt;
+  LitPool.insert(LitPool.end(), Lits, Lits + Size);
+  if (Learnt)
+    ++LearntCount;
+  if (FreeClauseSlots.empty()) {
+    Clauses.push_back(C);
+    return static_cast<uint32_t>(Clauses.size() - 1);
   }
+  uint32_t Index = FreeClauseSlots.back();
+  FreeClauseSlots.pop_back();
+  Clauses[Index] = C;
   return Index;
 }
 
 void SatSolver::watchClause(uint32_t Index) {
   const Clause &C = Clauses[Index];
-  assert(C.Lits.size() >= 2 && "watching a short clause");
-  Watches[(~C.Lits[0]).index()].push_back({Index, C.Lits[1]});
-  Watches[(~C.Lits[1]).index()].push_back({Index, C.Lits[0]});
+  assert(C.Size >= 2 && "watching a short clause");
+  const Lit *Lits = lits(C);
+  Watches[(~Lits[0]).index()].push_back({Index, Lits[1]});
+  Watches[(~Lits[1]).index()].push_back({Index, Lits[0]});
 }
 
-bool SatSolver::addClause(std::vector<Lit> Clause) {
+bool SatSolver::addLits(const Lit *Lits, size_t Size) {
   if (Unsatisfiable)
     return false;
   // Clauses may arrive between solve() calls (e.g. DPLL(T) blocking
   // clauses) while the trail still holds the last model; reset first.
   backtrack(0);
 
-  // Normalize: drop duplicates and false literals, detect tautologies and
-  // satisfied clauses.
+  // Normalize in place: drop duplicates and false literals, detect
+  // tautologies and satisfied clauses.
+  std::vector<Lit> &Clause = AddBuffer;
+  Clause.assign(Lits, Lits + Size);
   std::sort(Clause.begin(), Clause.end(),
             [](Lit A, Lit B) { return A.index() < B.index(); });
-  std::vector<Lit> Normalized;
+  size_t Kept = 0;
   for (size_t I = 0; I < Clause.size(); ++I) {
     Lit L = Clause[I];
     if (I + 1 < Clause.size() && Clause[I + 1] == ~L)
@@ -138,23 +146,22 @@ bool SatSolver::addClause(std::vector<Lit> Clause) {
       return true; // Already satisfied at level 0.
     if (V == LBool::False)
       continue; // Falsified at level 0; drop.
-    Normalized.push_back(L);
+    Clause[Kept++] = L;
   }
 
-  if (Normalized.empty()) {
+  if (Kept == 0) {
     Unsatisfiable = true;
     return false;
   }
-  if (Normalized.size() == 1) {
-    enqueue(Normalized[0], -1);
+  if (Kept == 1) {
+    enqueue(Clause[0], -1);
     if (propagate() >= 0) {
       Unsatisfiable = true;
       return false;
     }
     return true;
   }
-  uint32_t Index = allocClause(std::move(Normalized), /*Learnt=*/false);
-  watchClause(Index);
+  watchClause(allocClause(Clause.data(), Kept, /*Learnt=*/false));
   return true;
 }
 
@@ -178,22 +185,23 @@ int32_t SatSolver::propagate() {
         WatchList[Out++] = W;
         continue;
       }
-      Clause &C = Clauses[W.ClauseIndex];
+      const Clause &C = Clauses[W.ClauseIndex];
+      Lit *Lits = lits(C);
       Lit FalseLit = ~P;
       // Put the false watched literal at position 1.
-      if (C.Lits[0] == FalseLit)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == FalseLit && "watch bookkeeping broken");
-      if (value(C.Lits[0]) == LBool::True) {
-        WatchList[Out++] = {W.ClauseIndex, C.Lits[0]};
+      if (Lits[0] == FalseLit)
+        std::swap(Lits[0], Lits[1]);
+      assert(Lits[1] == FalseLit && "watch bookkeeping broken");
+      if (value(Lits[0]) == LBool::True) {
+        WatchList[Out++] = {W.ClauseIndex, Lits[0]};
         continue;
       }
       // Look for a replacement watch.
       bool FoundWatch = false;
-      for (size_t K = 2; K < C.Lits.size(); ++K) {
-        if (value(C.Lits[K]) != LBool::False) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[(~C.Lits[1]).index()].push_back({W.ClauseIndex, C.Lits[0]});
+      for (size_t K = 2; K < C.Size; ++K) {
+        if (value(Lits[K]) != LBool::False) {
+          std::swap(Lits[1], Lits[K]);
+          Watches[(~Lits[1]).index()].push_back({W.ClauseIndex, Lits[0]});
           FoundWatch = true;
           break;
         }
@@ -202,14 +210,14 @@ int32_t SatSolver::propagate() {
         continue;
       // Clause is unit or conflicting.
       WatchList[Out++] = W;
-      if (value(C.Lits[0]) == LBool::False) {
+      if (value(Lits[0]) == LBool::False) {
         // Conflict: restore remaining watchers and report.
         for (size_t K = In + 1; K < WatchList.size(); ++K)
           WatchList[Out++] = WatchList[K];
         WatchList.resize(Out);
         return static_cast<int32_t>(W.ClauseIndex);
       }
-      enqueue(C.Lits[0], static_cast<int32_t>(W.ClauseIndex));
+      enqueue(Lits[0], static_cast<int32_t>(W.ClauseIndex));
     }
     WatchList.resize(Out);
   }
@@ -243,8 +251,9 @@ void SatSolver::analyze(int32_t ConflictIndex, std::vector<Lit> &Learnt,
   do {
     assert(Reason >= 0 && "no reason during conflict analysis");
     const Clause &C = Clauses[Reason];
-    for (size_t I = PValid ? 1 : 0; I < C.Lits.size(); ++I) {
-      Lit Q = C.Lits[I];
+    const Lit *Lits = lits(C);
+    for (size_t I = PValid ? 1 : 0; I < C.Size; ++I) {
+      Lit Q = Lits[I];
       unsigned Var = Q.var();
       if (Seen[Var - 1] || Levels[Var - 1] == 0)
         continue;
@@ -283,14 +292,6 @@ void SatSolver::analyze(int32_t ConflictIndex, std::vector<Lit> &Learnt,
     Seen[Learnt[I].var() - 1] = false;
 }
 
-size_t SatSolver::numLearnts() const {
-  size_t N = 0;
-  for (const Clause &C : Clauses)
-    if (C.Learnt && !C.Lits.empty())
-      ++N;
-  return N;
-}
-
 /// MiniSat's final-conflict analysis: \p Assumption was found false while
 /// injecting assumptions, so the clause database refutes some subset of
 /// them. Walk reason chains backwards from the falsified assumption's
@@ -317,8 +318,9 @@ void SatSolver::analyzeFinal(Lit Assumption) {
       continue;
     }
     const Clause &C = Clauses[Reason];
-    for (size_t K = 1; K < C.Lits.size(); ++K) {
-      unsigned Antecedent = C.Lits[K].var();
+    const Lit *Lits = lits(C);
+    for (size_t K = 1; K < C.Size; ++K) {
+      unsigned Antecedent = Lits[K].var();
       if (Levels[Antecedent - 1] > 0)
         Seen[Antecedent - 1] = true;
     }
@@ -354,10 +356,10 @@ void SatSolver::reduceLearnts() {
   // Collect learnt clauses that are not currently reasons.
   std::vector<uint32_t> Candidates;
   for (uint32_t I = 0; I < Clauses.size(); ++I) {
-    Clause &C = Clauses[I];
-    if (!C.Learnt || C.Lits.empty() || C.Lits.size() <= 2)
+    const Clause &C = Clauses[I];
+    if (!C.Learnt || C.Size <= 2)
       continue;
-    unsigned HeadVar = C.Lits[0].var();
+    unsigned HeadVar = lits(C)[0].var();
     if (Reasons[HeadVar - 1] == static_cast<int32_t>(I) &&
         Assigns[HeadVar - 1] != LBool::Undef)
       continue; // Locked.
@@ -369,14 +371,28 @@ void SatSolver::reduceLearnts() {
             });
   size_t Remove = Candidates.size() / 2;
   for (size_t I = 0; I < Remove; ++I) {
-    Clauses[Candidates[I]].Lits.clear();
+    Clauses[Candidates[I]].Size = 0;
     FreeClauseSlots.push_back(Candidates[I]);
   }
-  // Rebuild all watch lists.
+  LearntCount -= Remove;
+  // Compact the pool in clause order (reused slots sit out of pool order,
+  // so this copies rather than sliding in place) and rebuild all watch
+  // lists.
+  std::vector<Lit> Compacted;
+  Compacted.reserve(LitPool.size());
   for (auto &WatchList : Watches)
     WatchList.clear();
+  for (uint32_t I = 0; I < Clauses.size(); ++I) {
+    Clause &C = Clauses[I];
+    if (C.Size < 2)
+      continue;
+    const Lit *Lits = lits(C);
+    C.Begin = Compacted.size();
+    Compacted.insert(Compacted.end(), Lits, Lits + C.Size);
+  }
+  LitPool.swap(Compacted);
   for (uint32_t I = 0; I < Clauses.size(); ++I)
-    if (Clauses[I].Lits.size() >= 2)
+    if (Clauses[I].Size >= 2)
       watchClause(I);
 }
 
@@ -411,7 +427,7 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
 
   uint64_t ConflictsAtStart = Conflicts;
   uint64_t PropagationsAtStart = Propagations;
-  std::vector<Lit> Learnt;
+  std::vector<Lit> &Learnt = LearntBuffer;
   uint64_t RestartNumber = 0;
   // Cancellation is polled every StepMask+1 conflicts-or-decisions: one
   // relaxed atomic load per batch keeps the hot loop overhead below 1%.
@@ -447,7 +463,8 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
             return SatStatus::Unsat;
           }
         } else {
-          uint32_t Index = allocClause(Learnt, /*Learnt=*/true);
+          uint32_t Index =
+              allocClause(Learnt.data(), Learnt.size(), /*Learnt=*/true);
           Clauses[Index].Activity = ActivityIncrement;
           watchClause(Index);
           enqueue(Learnt[0], static_cast<int32_t>(Index));
@@ -496,10 +513,6 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
     }
 
     // Periodically shed inactive learnt clauses.
-    size_t LearntCount = 0;
-    for (const Clause &C : Clauses)
-      if (C.Learnt && !C.Lits.empty())
-        ++LearntCount;
     if (LearntCount > 2000 + Clauses.size() / 2)
       reduceLearnts();
   }

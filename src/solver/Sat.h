@@ -80,12 +80,20 @@ public:
 
   /// Adds a clause; returns false if the formula is already trivially
   /// unsatisfiable (empty clause or conflicting units at level 0).
-  bool addClause(std::vector<Lit> Clause);
+  bool addClause(const std::vector<Lit> &Clause) {
+    return addLits(Clause.data(), Clause.size());
+  }
 
   /// Convenience single/double/triple literal clauses.
-  bool addUnit(Lit A) { return addClause({A}); }
-  bool addBinary(Lit A, Lit B) { return addClause({A, B}); }
-  bool addTernary(Lit A, Lit B, Lit C) { return addClause({A, B, C}); }
+  bool addUnit(Lit A) { return addLits(&A, 1); }
+  bool addBinary(Lit A, Lit B) {
+    const Lit Lits[] = {A, B};
+    return addLits(Lits, 2);
+  }
+  bool addTernary(Lit A, Lit B, Lit C) {
+    const Lit Lits[] = {A, B, C};
+    return addLits(Lits, 3);
+  }
 
   /// Solves under the given budget with optional assumptions. Learnt
   /// clauses and variable activities persist across calls, so a sequence
@@ -112,15 +120,23 @@ public:
   uint64_t numDecisions() const { return Decisions; }
 
   /// Learnt clauses currently alive in the database (survivors of
-  /// reduceLearnts); the escalation driver reports these as reused work.
-  size_t numLearnts() const;
+  /// reduceLearnts).
+  size_t numLearnts() const { return LearntCount; }
 
 private:
+  /// A clause is the slice [Begin, Begin + Size) of LitPool. Size 0 marks
+  /// a slot freed by reduceLearnts and awaiting reuse; its old literals
+  /// stay in the pool as garbage until the next reduceLearnts compacts it.
   struct Clause {
-    std::vector<Lit> Lits;
-    double Activity = 0.0;
+    size_t Begin = 0;
+    uint32_t Size = 0;
     bool Learnt = false;
+    double Activity = 0.0;
   };
+
+  /// The literals of \p C. Valid until the pool next grows (a clause is
+  /// allocated) or is compacted (reduceLearnts).
+  Lit *lits(const Clause &C) { return LitPool.data() + C.Begin; }
 
   struct Watcher {
     uint32_t ClauseIndex;
@@ -129,7 +145,11 @@ private:
 
   unsigned VarCount = 0;
   std::vector<Clause> Clauses;
+  std::vector<Lit> LitPool; ///< Every clause's literals, back to back.
   std::vector<uint32_t> FreeClauseSlots;
+  size_t LearntCount = 0;
+  std::vector<Lit> AddBuffer;    ///< Scratch for normalizing added clauses.
+  std::vector<Lit> LearntBuffer; ///< Scratch for conflict analysis.
   std::vector<std::vector<Watcher>> Watches; ///< Indexed by literal index.
   std::vector<LBool> Assigns;                ///< Indexed by variable.
   std::vector<int> Levels;                   ///< Decision level per variable.
@@ -172,7 +192,8 @@ private:
   void bumpVariable(unsigned Var);
   void decayActivities();
   void reduceLearnts();
-  uint32_t allocClause(std::vector<Lit> Lits, bool Learnt);
+  bool addLits(const Lit *Lits, size_t Size);
+  uint32_t allocClause(const Lit *Lits, size_t Size, bool Learnt);
   void watchClause(uint32_t Index);
 };
 

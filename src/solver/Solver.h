@@ -67,26 +67,25 @@ struct SolveResult {
   double TimeSeconds = 0.0;
 };
 
-/// An incremental bounded-solving session for the width-escalation
-/// ladder. Each escalation step pushes a *frame*: the Int constraints
-/// re-translated at the next width plus that width's overflow guards.
-/// Every frame gets a fresh selector literal and every guard its own;
-/// solve() assumes only the newest frame's selectors, so earlier widths'
-/// clauses stay in the database (their learnt consequences are reused)
-/// but no longer constrain anything. After an unsat answer the failed-
-/// assumption core tells the driver whether the guards are to blame
-/// (escalate) or the translated constraints themselves are (revert).
+/// A bounded-solving session for the width-escalation ladder. Each
+/// escalation step pushes a *frame*: the Int constraints translated at the
+/// next width plus that width's overflow guards. A frame replaces the one
+/// before it: the hard assertions hold outright, every guard gets its own
+/// selector literal, and solve() assumes the selectors. After an unsat
+/// answer the failed-assumption core tells the driver whether the guards
+/// are to blame (escalate) or the translated constraints themselves are
+/// (revert).
 class IncrementalBvSession {
 public:
   virtual ~IncrementalBvSession() = default;
 
-  /// Adds a new width frame. \p Hard are the translated assertions,
-  /// \p Guards the no-overflow side conditions; both are bit-blasted
-  /// immediately (re-using the session's CNF memo for shared subterms).
+  /// Replaces the current frame with a new width's. \p Hard are the
+  /// translated assertions, \p Guards the no-overflow side conditions;
+  /// both are bit-blasted immediately.
   virtual void pushFrame(const std::vector<Term> &Hard,
                          const std::vector<Term> &Guards) = 0;
 
-  /// Solves under the newest frame's selectors.
+  /// Solves the newest frame under its guard selectors.
   virtual SolveStatus solve(const SolverOptions &Options) = 0;
 
   /// After an Unsat solve: whether the failed-assumption core contains at
@@ -98,11 +97,12 @@ public:
   /// After a Sat solve: values for \p Variables.
   virtual Model model(const std::vector<Term> &Variables) const = 0;
 
-  /// Learnt clauses alive at entry to solves after the first — CDCL work
-  /// carried across escalation steps instead of redone.
+  /// Always 0 for MiniSMT, whose frames share no clauses; perfbench names
+  /// it.
   virtual uint64_t clausesReused() const = 0;
 
-  /// CNF-memo hits while bit-blasting all frames so far.
+  /// CNF-memo hits while bit-blasting all frames so far, summed over
+  /// frames.
   virtual uint64_t blastCacheHits() const = 0;
 };
 

@@ -24,8 +24,8 @@ inline constexpr unsigned DefaultWidthCap = 64;
 
 /// Width added per escalation step when a bounded-unsat core blames only
 /// the overflow guards (Sec. 4.4 extension; UppSAT-style refinement).
-/// Small steps keep each retry cheap, and the incremental session makes
-/// the retries near-free anyway.
+/// Small steps keep each retry cheap: a step costs about one bounded
+/// solve of its width.
 inline constexpr unsigned EscalationStepBits = 4;
 
 /// Default cap on inferred floating-point magnitude bits.

@@ -70,40 +70,52 @@ std::optional<SortKind> unboundedSortOf(const TermManager &Manager,
 }
 
 /// The width-escalation ladder (Sec. 4.4 extension). Entered after the
-/// backend reported bounded-unsat: replays the base width inside an
-/// incremental session (the one-shot backend call cannot expose a core),
-/// and while the failed-assumption core blames an overflow guard, retries
-/// at width + EscalationStepBits. Learnt clauses, variable activities and
-/// the CNF memo persist across steps, so each retry is near-free.
+/// backend reported bounded-unsat on \p Base, the translation of \p Input
+/// at the chosen width: solves it again inside an incremental session (the
+/// one-shot backend call cannot expose a core), and while the
+/// failed-assumption core blames an overflow guard, retries at width +
+/// EscalationStepBits. Every step is a fresh frame whose hard assertions
+/// simplify at level 0, so a step costs about one bounded solve of its
+/// width. The bounded solve and all steps share one budget,
+/// Options.Solve.TimeoutSeconds counted by \p SolveBudget; once it is
+/// spent the ladder stops and the revert stands.
 /// Soundness is untouched: a revert keeps the paper's behaviour, and an
 /// escalated model is only accepted after verifying against the ORIGINAL
 /// assertions under exact unbounded semantics.
 void escalateWidths(TermManager &Manager,
                     const std::vector<Term> &OriginalAssertions,
-                    const std::vector<Term> &Input,
+                    const std::vector<Term> &Input, const TransformResult &Base,
                     const analysis::PresolveResult &Pre, bool UsePresolvedSet,
                     SolverBackend &Backend, const StaubOptions &Options,
-                    const TransformOptions &TOpts, StaubOutcome &Outcome) {
+                    const TransformOptions &TOpts, const WallTimer &SolveBudget,
+                    StaubOutcome &Outcome) {
   std::unique_ptr<IncrementalBvSession> Session =
       Backend.openIncrementalBv(Manager);
   if (!Session)
     return;
   unsigned Width = Outcome.ChosenWidth;
+  TransformResult Wider;
   for (;;) {
     // The racing portfolio cancels the STAUB lane through this token;
     // give up between steps so the loser thread exits promptly.
     if (stopRequested(Options.Solve.Cancel))
       return;
-    TransformResult Step = transformIntToBv(Manager, Input, Width, TOpts);
-    if (!Step.Ok)
-      return;
+    if (Outcome.EscalationSteps > 0) {
+      Wider = transformIntToBv(Manager, Input, Width, TOpts);
+      if (!Wider.Ok)
+        return;
+    }
+    const TransformResult &Step = Outcome.EscalationSteps ? Wider : Base;
     std::vector<Term> Hard(Step.Assertions.begin(),
                            Step.Assertions.begin() + Step.TranslatedCount);
     std::vector<Term> Guards(Step.Assertions.begin() + Step.TranslatedCount,
                              Step.Assertions.end());
     Session->pushFrame(Hard, Guards);
-    SolveStatus Status = Session->solve(Options.Solve);
-    Outcome.ClausesReused = Session->clausesReused();
+    SolverOptions StepOptions = Options.Solve;
+    StepOptions.TimeoutSeconds -= SolveBudget.elapsedSeconds();
+    if (StepOptions.TimeoutSeconds <= 0)
+      return; // The budget is spent: keep the sound revert answer.
+    SolveStatus Status = Session->solve(StepOptions);
     Outcome.SessionBlastCacheHits = Session->blastCacheHits();
     if (Status == SolveStatus::Unknown)
       return; // Timeout or cancellation: keep the sound revert answer.
@@ -287,7 +299,9 @@ StaubOutcome staub::runStaub(TermManager &Manager,
     ToSolve = Optimizer(Manager, ToSolve);
   Outcome.TransSeconds = Timer.elapsedSeconds();
 
-  // Step 3: solve the bounded constraint.
+  // Step 3: solve the bounded constraint. The escalation ladder below
+  // spends what is left of this solve's budget.
+  WallTimer SolveBudget;
   SolveResult Bounded = Backend.solve(Manager, ToSolve, Options.Solve);
   Outcome.SolveSeconds = Bounded.TimeSeconds;
 
@@ -300,8 +314,9 @@ StaubOutcome staub::runStaub(TermManager &Manager,
     WallTimer EscalateTimer;
     Outcome.Path = StaubPath::BoundedUnsat;
     escalateWidths(Manager, Assertions,
-                   UsePresolvedSet ? Pre.Assertions : Assertions, Pre,
-                   UsePresolvedSet, Backend, Options, TOpts, Outcome);
+                   UsePresolvedSet ? Pre.Assertions : Assertions, Transform,
+                   Pre, UsePresolvedSet, Backend, Options, TOpts, SolveBudget,
+                   Outcome);
     Outcome.SolveSeconds += EscalateTimer.elapsedSeconds();
     if (Outcome.Path != StaubPath::BoundedUnsat)
       return Outcome; // The ladder reached its own verdict.

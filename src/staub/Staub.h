@@ -125,10 +125,12 @@ struct StaubOutcome {
   unsigned ZoneFactsHarvested = 0;
   unsigned RelationalGuardsElided = 0;
   /// Width-escalation ladder counters (zero when the ladder never ran).
-  unsigned EscalationSteps = 0;    ///< Widths tried beyond the inferred one.
-  uint64_t ClausesReused = 0;      ///< Learnt clauses alive entering steps.
-  /// Session-local CNF-memo hits across all escalation steps (one
-  /// incremental session; does not survive the query).
+  unsigned EscalationSteps = 0; ///< Widths tried beyond the inferred one.
+  /// Always 0; perfbench names it.
+  uint64_t ClausesReused = 0;
+  /// CNF-memo hits while blasting the ladder's frames, summed over all
+  /// escalation steps (each frame has its own memo; none survives the
+  /// query).
   uint64_t SessionBlastCacheHits = 0;
   /// Always 0; perfbench names it.
   uint64_t CrossClausesReused = 0;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace staub;
 
 namespace {
@@ -202,12 +204,11 @@ bool bruteForce(unsigned NumVars,
   return false;
 }
 
-class RandomCnfTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RandomCnfTest, AgreesWithBruteForce) {
-  SplitMix64 Rng(GetParam());
-  const unsigned NumVars = 10;
-  const unsigned NumClauses = 42; // Near the 3-SAT phase transition.
+/// Seeded random 3-CNF in DIMACS literals. Clauses may repeat a variable,
+/// so duplicates and tautologies reach addClause too.
+std::vector<std::vector<int>> random3Cnf(uint64_t Seed, unsigned NumVars,
+                                         unsigned NumClauses) {
+  SplitMix64 Rng(Seed);
   std::vector<std::vector<int>> Clauses;
   for (unsigned I = 0; I < NumClauses; ++I) {
     std::vector<int> Clause;
@@ -217,17 +218,35 @@ TEST_P(RandomCnfTest, AgreesWithBruteForce) {
     }
     Clauses.push_back(Clause);
   }
-  SatSolver S;
+  return Clauses;
+}
+
+/// Loads \p Clauses into \p S; false when a clause already makes the
+/// formula unsatisfiable at level 0.
+bool loadCnf(SatSolver &S, unsigned NumVars,
+             const std::vector<std::vector<int>> &Clauses) {
   for (unsigned V = 0; V < NumVars; ++V)
     S.newVar();
-  bool TriviallyUnsat = false;
+  bool Consistent = true;
   for (const auto &Clause : Clauses) {
     std::vector<Lit> Lits;
     for (int L : Clause)
       Lits.push_back(Lit::fromDimacs(L));
     if (!S.addClause(Lits))
-      TriviallyUnsat = true;
+      Consistent = false;
   }
+  return Consistent;
+}
+
+class RandomCnfTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomCnfTest, AgreesWithBruteForce) {
+  const unsigned NumVars = 10;
+  const unsigned NumClauses = 42; // Near the 3-SAT phase transition.
+  std::vector<std::vector<int>> Clauses =
+      random3Cnf(GetParam(), NumVars, NumClauses);
+  SatSolver S;
+  bool TriviallyUnsat = !loadCnf(S, NumVars, Clauses);
   bool Expected = bruteForce(NumVars, Clauses);
   SatStatus Got = TriviallyUnsat ? SatStatus::Unsat : S.solve();
   EXPECT_EQ(Got, Expected ? SatStatus::Sat : SatStatus::Unsat);
@@ -247,5 +266,102 @@ TEST_P(RandomCnfTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnfTest,
                          ::testing::Range(uint64_t(1), uint64_t(41)));
+
+/// One seeded random 3-CNF solve with its exact search statistics.
+struct PinnedSearch {
+  uint64_t Seed;
+  unsigned NumVars, NumClauses;
+  SatStatus Status;
+  uint64_t Conflicts, Propagations, Decisions;
+  size_t Learnts;
+};
+
+void expectPinnedSearch(const PinnedSearch &Pin) {
+  SCOPED_TRACE("seed " + std::to_string(Pin.Seed));
+  SatSolver S;
+  ASSERT_TRUE(loadCnf(S, Pin.NumVars,
+                      random3Cnf(Pin.Seed, Pin.NumVars, Pin.NumClauses)));
+  EXPECT_EQ(S.solve(), Pin.Status);
+  EXPECT_EQ(S.numConflicts(), Pin.Conflicts);
+  EXPECT_EQ(S.numPropagations(), Pin.Propagations);
+  EXPECT_EQ(S.numDecisions(), Pin.Decisions);
+  EXPECT_EQ(S.numLearnts(), Pin.Learnts);
+}
+
+// The CDCL search is deterministic: clause storage, watch order, literal
+// order and free-slot reuse all feed it. These counts are the reference
+// search; a change to how clauses are stored must reproduce them exactly.
+TEST(SatTest, PinnedSearchOnRandom3Cnf) {
+  const PinnedSearch Pins[] = {
+      {1, 150, 640, SatStatus::Unsat, 1735, 52643, 2106, 1727},
+      {2, 150, 640, SatStatus::Sat, 1053, 33869, 1307, 1053},
+      {3, 150, 640, SatStatus::Unsat, 1499, 46570, 1838, 1490},
+      {4, 150, 640, SatStatus::Sat, 270, 8586, 388, 270},
+  };
+  for (const PinnedSearch &Pin : Pins)
+    expectPinnedSearch(Pin);
+}
+
+// Long enough (over 10,000 conflicts) that reduceLearnts sheds half the
+// learnt clauses four times, so freed slots are reused and the watch lists
+// are rebuilt mid-search.
+TEST(SatTest, PinnedSearchThroughLearntReduction) {
+  expectPinnedSearch(
+      {3, 200, 860, SatStatus::Unsat, 14761, 547248, 17886, 3451});
+}
+
+// Every entry point normalizes the same way: duplicates collapse,
+// tautologies and clauses satisfied at level 0 are dropped, literals false
+// at level 0 are removed, and what is left as a unit propagates at once.
+TEST(SatTest, NormalizationThroughEveryEntryPoint) {
+  SatSolver S;
+  unsigned A = S.newVar(), B = S.newVar(), C = S.newVar(), D = S.newVar(),
+           E = S.newVar(), F = S.newVar();
+
+  EXPECT_TRUE(S.addUnit(pos(A)));
+  EXPECT_EQ(S.value(pos(A)), LBool::True);
+  EXPECT_TRUE(S.addUnit(pos(A))) << "already true at level 0";
+
+  // Tautologies, through each arity.
+  EXPECT_TRUE(S.addBinary(pos(B), neg(B)));
+  EXPECT_TRUE(S.addTernary(pos(C), neg(B), pos(B)));
+  EXPECT_TRUE(S.addClause({pos(D), neg(C), pos(E), pos(C)}));
+  // Satisfied at level 0.
+  EXPECT_TRUE(S.addBinary(neg(B), pos(A)));
+  EXPECT_TRUE(S.addTernary(pos(A), neg(C), neg(D)));
+  EXPECT_TRUE(S.addClause({neg(E), pos(A), neg(F)}));
+  for (unsigned V : {B, C, D, E, F})
+    EXPECT_EQ(S.value(pos(V)), LBool::Undef) << "var " << V;
+
+  // Duplicates collapse to a unit, which propagates immediately.
+  EXPECT_TRUE(S.addBinary(pos(B), pos(B)));
+  EXPECT_EQ(S.value(pos(B)), LBool::True);
+  // A false literal is dropped, leaving a unit.
+  EXPECT_TRUE(S.addTernary(neg(A), pos(C), neg(B)));
+  EXPECT_EQ(S.value(pos(C)), LBool::True);
+  EXPECT_TRUE(S.addClause({neg(C), neg(A), neg(D), neg(D)}));
+  EXPECT_EQ(S.value(pos(D)), LBool::False);
+  // False literals and duplicates around two survivors: a real clause.
+  EXPECT_TRUE(S.addClause({pos(E), neg(A), pos(F), pos(E), pos(D)}));
+  EXPECT_EQ(S.value(pos(E)), LBool::Undef);
+  EXPECT_EQ(S.solve({}, {neg(E)}), SatStatus::Sat);
+  EXPECT_TRUE(S.modelValue(F));
+  EXPECT_EQ(S.solve({}, {neg(E), neg(F)}), SatStatus::Unsat);
+
+  // Every literal false at level 0: the formula is unsatisfiable, and
+  // stays so through every entry point.
+  EXPECT_FALSE(S.addTernary(neg(A), neg(B), neg(C)));
+  EXPECT_FALSE(S.addUnit(pos(E)));
+  EXPECT_FALSE(S.addBinary(pos(E), pos(F)));
+  EXPECT_FALSE(S.addClause({pos(E), neg(F)}));
+  EXPECT_EQ(S.solve(), SatStatus::Unsat);
+}
+
+TEST(SatTest, EmptyClauseIsUnsat) {
+  SatSolver S;
+  S.newVar();
+  EXPECT_FALSE(S.addClause(std::vector<Lit>{}));
+  EXPECT_EQ(S.solve(), SatStatus::Unsat);
+}
 
 } // namespace

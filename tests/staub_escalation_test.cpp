@@ -6,8 +6,8 @@
 //
 // End-to-end tests for the incremental width-escalation driver: guard-only
 // cores climb the ladder to a verified EscalatedSat, guard-free cores
-// revert immediately, and the ladder respects cancellation, --fixed-width,
-// and --no-escalate.
+// revert immediately, and the ladder respects cancellation, the solve
+// budget, --fixed-width, and --no-escalate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,9 @@
 #include "staub/Staub.h"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 using namespace staub;
 
@@ -59,6 +62,66 @@ std::vector<Term> guardFreeUnsatInstance(TermManager &M) {
   Assertions.push_back(M.mkOr(std::vector<Term>{M.mkNot(B), SumGe}));
   Assertions.push_back(M.mkCompare(Kind::Le, Sum, intConst(M, 16)));
   return Assertions;
+}
+
+/// A backend whose one-shot solve answers unsat and whose session solves
+/// take 20 ms each and always blame the guards, so only the time budget
+/// can stop the ladder before the width cap. Records the budget every
+/// session solve receives.
+class SlowGuardBlamingBackend : public SolverBackend {
+public:
+  std::vector<double> Budgets;
+
+  SolveResult solve(TermManager &, const std::vector<Term> &,
+                    const SolverOptions &) override {
+    SolveResult Result;
+    Result.Status = SolveStatus::Unsat;
+    return Result;
+  }
+  std::string_view name() const override { return "slow-guard-blaming"; }
+  bool supportsIncrementalBv() const override { return true; }
+  std::unique_ptr<IncrementalBvSession>
+  openIncrementalBv(const TermManager &) override {
+    return std::make_unique<Session>(Budgets);
+  }
+
+private:
+  class Session : public IncrementalBvSession {
+  public:
+    explicit Session(std::vector<double> &Budgets) : Budgets(Budgets) {}
+    void pushFrame(const std::vector<Term> &,
+                   const std::vector<Term> &) override {}
+    SolveStatus solve(const SolverOptions &Options) override {
+      Budgets.push_back(Options.TimeoutSeconds);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return SolveStatus::Unsat;
+    }
+    bool coreHasGuards() const override { return true; }
+    Model model(const std::vector<Term> &) const override { return {}; }
+    uint64_t clausesReused() const override { return 0; }
+    uint64_t blastCacheHits() const override { return 0; }
+
+  private:
+    std::vector<double> &Budgets;
+  };
+};
+
+TEST(EscalationTest, LadderSharesOneBudget) {
+  // The bounded solve and every step draw on one 0.1 s budget, so five
+  // 20 ms steps spend it; with a fresh budget per step the ladder would
+  // climb all the way to the 64-bit cap. Neither a lower bound nor a wall
+  // clock bound is asserted, so a loaded host cannot fail this.
+  TermManager M;
+  std::vector<Term> Assertions = escalatableInstance(M);
+  SlowGuardBlamingBackend Backend;
+  StaubOptions Options;
+  Options.Solve.TimeoutSeconds = 0.1;
+  StaubOutcome Outcome = runStaub(M, Assertions, Backend, Options);
+
+  EXPECT_EQ(Outcome.Path, StaubPath::BoundedUnsat);
+  EXPECT_LE(Outcome.EscalationSteps, 5u);
+  for (size_t I = 1; I < Backend.Budgets.size(); ++I)
+    EXPECT_LE(Backend.Budgets[I], Backend.Budgets[I - 1]) << "step " << I;
 }
 
 TEST(EscalationTest, GuardOnlyCoreClimbsToVerifiedSat) {

@@ -291,10 +291,8 @@ int main(int Argc, char **Argv) {
                  Outcome.Presolve.VarsContracted,
                  Outcome.Presolve.WidthBitsSaved);
     std::fprintf(stderr,
-                 "; escalation steps=%u clauses_reused=%llu "
-                 "session_blast_cache_hits=%llu\n",
+                 "; escalation steps=%u session_blast_cache_hits=%llu\n",
                  Outcome.EscalationSteps,
-                 static_cast<unsigned long long>(Outcome.ClausesReused),
                  static_cast<unsigned long long>(Outcome.SessionBlastCacheHits));
     std::fprintf(stderr,
                  "; relational zone_facts=%u relational_guards_elided=%u\n",
