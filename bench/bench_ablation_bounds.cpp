@@ -48,8 +48,8 @@ int main(int Argc, char **Argv) {
   for (auto &Solver : Solvers) {
     TermManager M;
     auto Suite = generateSuite(M, BenchLogic::QF_NIA, benchConfig());
-    auto PerConfig = evaluateSuiteConfigsParallel(M, Suite, *Solver, Timeout,
-                                                  Configs, Jobs);
+    auto PerConfig =
+        evaluateSuite(M, Suite, *Solver, Timeout, Configs, Jobs);
     for (size_t Cfg = 0; Cfg < Configs.size(); ++Cfg) {
       EvalSummary S = summarize(PerConfig[Cfg], Timeout);
       std::printf("%-8s %-12s %6u %9u %11u %10.3f %9.3f\n",
@@ -62,8 +62,8 @@ int main(int Argc, char **Argv) {
       double Sum = 0;
       unsigned N = 0;
       for (const EvalRecord &R : PerConfig[Cfg])
-        if (R.ChosenWidth) {
-          Sum += R.ChosenWidth;
+        if (R.Staub.ChosenWidth) {
+          Sum += R.Staub.ChosenWidth;
           ++N;
         }
       std::printf("  mean %s width: %.1f bits%s\n",

@@ -37,9 +37,8 @@ int main(int Argc, char **Argv) {
                              BenchLogic::QF_NRA, BenchLogic::QF_LRA}) {
       TermManager M;
       auto Suite = generateSuite(M, Logic, benchConfig());
-      EvalOptions Options;
-      Options.TimeoutSeconds = Timeout;
-      auto Records = evaluateSuiteParallel(M, Suite, *Solver, Options, Jobs);
+      auto Records =
+          evaluateSuite(M, Suite, *Solver, Timeout, {EvalConfig()}, Jobs)[0];
       for (const EvalRecord &R : Records) {
         double Pre =
             R.OriginalStatus == SolveStatus::Unknown ? Timeout : R.TPre;
@@ -48,7 +47,7 @@ int main(int Argc, char **Argv) {
                     std::string(toString(Logic)).c_str(), R.Name.c_str(),
                     Pre, R.portfolioSeconds(Timeout),
                     std::string(toString(R.OriginalStatus)).c_str(),
-                    std::string(toString(R.Path)).c_str());
+                    std::string(toString(R.Staub.Path)).c_str());
       }
     }
   }

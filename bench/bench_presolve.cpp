@@ -40,8 +40,8 @@ namespace {
 double meanChosenWidth(const std::vector<EvalRecord> &Records) {
   unsigned long Sum = 0, N = 0;
   for (const EvalRecord &R : Records)
-    if (R.ChosenWidth) {
-      Sum += R.ChosenWidth;
+    if (R.Staub.ChosenWidth) {
+      Sum += R.Staub.ChosenWidth;
       ++N;
     }
   return N ? double(Sum) / double(N) : 0.0;
@@ -69,9 +69,8 @@ int main(int Argc, char **Argv) {
   {
     TermManager M;
     auto Suite = generateStaticSuite(M, benchConfig());
-    EvalOptions Options;
-    Options.TimeoutSeconds = Timeout;
-    auto Records = evaluateSuiteParallel(M, Suite, *Backend, Options, Jobs);
+    auto Records =
+        evaluateSuite(M, Suite, *Backend, Timeout, {EvalConfig()}, Jobs)[0];
     EvalSummary S = summarize(Records, Timeout);
     double Rate = S.Count ? 100.0 * double(S.PresolveDecided) / S.Count : 0.0;
     std::printf("static suite: %u/%u decided by presolve alone (%.0f%%), "
@@ -99,8 +98,7 @@ int main(int Argc, char **Argv) {
     BenchConfig Cfg = benchConfig();
     Cfg.SatPercent = 100; // Boxed planted-sat rows: ranges to contract.
     auto Suite = generateSuite(M, BenchLogic::QF_LIA, Cfg);
-    auto All = evaluateSuiteConfigsParallel(M, Suite, *Backend, Timeout,
-                                            Configs, Jobs);
+    auto All = evaluateSuite(M, Suite, *Backend, Timeout, Configs, Jobs);
     EvalSummary Pre = summarize(All[1], Timeout);
     double W0 = meanChosenWidth(All[0]);
     double W1 = meanChosenWidth(All[1]);
@@ -128,8 +126,7 @@ int main(int Argc, char **Argv) {
 
     TermManager M;
     auto Suite = generateCorrelatedSuite(M, benchConfig());
-    auto All = evaluateSuiteConfigsParallel(M, Suite, *Backend, Timeout,
-                                            Configs, Jobs);
+    auto All = evaluateSuite(M, Suite, *Backend, Timeout, Configs, Jobs);
     const std::vector<EvalRecord> &NoRel = All[0];
     const std::vector<EvalRecord> &Rel = All[1];
 
@@ -143,18 +140,18 @@ int main(int Argc, char **Argv) {
     for (size_t I = 0; I < Rel.size(); ++I) {
       DecidedNoRel += NoRel[I].presolveDecided();
       DecidedRel += Rel[I].presolveDecided();
-      ElidedNoRel += NoRel[I].GuardsElided;
-      ElidedRel += Rel[I].GuardsElided;
-      RelOnly += Rel[I].RelationalGuardsElided;
-      ZoneFacts += Rel[I].ZoneFactsHarvested;
-      if (NoRel[I].ChosenWidth && Rel[I].ChosenWidth) {
-        WSumNoRel += NoRel[I].ChosenWidth;
-        WSumRel += Rel[I].ChosenWidth;
+      ElidedNoRel += NoRel[I].Staub.GuardsElided;
+      ElidedRel += Rel[I].Staub.GuardsElided;
+      RelOnly += Rel[I].Staub.RelationalGuardsElided;
+      ZoneFacts += Rel[I].Staub.ZoneFactsHarvested;
+      if (NoRel[I].Staub.ChosenWidth && Rel[I].Staub.ChosenWidth) {
+        WSumNoRel += NoRel[I].Staub.ChosenWidth;
+        WSumRel += Rel[I].Staub.ChosenWidth;
         ++Paired;
       }
       if (NoRel[I].verified() && Rel[I].verified() &&
-          (NoRel[I].Path == StaubPath::PresolvedUnsat) !=
-              (Rel[I].Path == StaubPath::PresolvedUnsat))
+          (NoRel[I].Staub.Path == StaubPath::PresolvedUnsat) !=
+              (Rel[I].Staub.Path == StaubPath::PresolvedUnsat))
         Agree = false;
     }
     double WNoRel = Paired ? double(WSumNoRel) / Paired : 0.0;

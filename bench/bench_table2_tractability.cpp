@@ -41,19 +41,18 @@ std::string runEscalationSection(double Timeout, unsigned Jobs) {
   TermManager M;
   auto Suite = generateEscalationSuite(M, benchConfig());
   auto Backend = createMiniSmtSolver();
-  auto All =
-      evaluateSuiteConfigsParallel(M, Suite, *Backend, Timeout, Configs, Jobs);
+  auto All = evaluateSuite(M, Suite, *Backend, Timeout, Configs, Jobs);
 
   unsigned Reverts = 0, Escalated = 0, Converted = 0;
   unsigned long long Steps = 0, CacheHits = 0;
   for (size_t I = 0; I < Suite.size(); ++I) {
-    bool Reverted = All[0][I].Path == StaubPath::BoundedUnsat;
-    bool Climbed = All[1][I].Path == StaubPath::EscalatedSat;
+    bool Reverted = All[0][I].Staub.Path == StaubPath::BoundedUnsat;
+    bool Climbed = All[1][I].Staub.Path == StaubPath::EscalatedSat;
     Reverts += Reverted;
     Escalated += Climbed;
     Converted += Reverted && Climbed;
-    Steps += All[1][I].EscalationSteps;
-    CacheHits += All[1][I].SessionBlastCacheHits;
+    Steps += All[1][I].Staub.EscalationSteps;
+    CacheHits += All[1][I].Staub.SessionBlastCacheHits;
   }
   double RevertRate =
       Suite.empty() ? 0.0 : 100.0 * double(Reverts) / double(Suite.size());
@@ -94,8 +93,7 @@ std::string runCorrelatedSection(double Timeout, unsigned Jobs) {
   TermManager M;
   auto Suite = generateCorrelatedSuite(M, benchConfig());
   auto Backend = createMiniSmtSolver();
-  auto All =
-      evaluateSuiteConfigsParallel(M, Suite, *Backend, Timeout, Configs, Jobs);
+  auto All = evaluateSuite(M, Suite, *Backend, Timeout, Configs, Jobs);
 
   unsigned DecisiveNoRel = 0, DecisiveRel = 0;
   unsigned PresolvedNoRel = 0, PresolvedRel = 0;
@@ -105,9 +103,9 @@ std::string runCorrelatedSection(double Timeout, unsigned Jobs) {
     DecisiveRel += All[1][I].verified();
     PresolvedNoRel += All[0][I].presolveDecided();
     PresolvedRel += All[1][I].presolveDecided();
-    ElidedNoRel += All[0][I].GuardsElided;
-    ElidedRel += All[1][I].GuardsElided;
-    RelOnly += All[1][I].RelationalGuardsElided;
+    ElidedNoRel += All[0][I].Staub.GuardsElided;
+    ElidedRel += All[1][I].Staub.GuardsElided;
+    RelOnly += All[1][I].Staub.RelationalGuardsElided;
   }
 
   std::printf("=== relational domains (MiniSMT, correlated suite) ===\n");
@@ -170,8 +168,7 @@ int main(int Argc, char **Argv) {
     for (auto &Solver : Solvers) {
       TermManager M;
       auto Suite = generateSuite(M, Logic, benchConfig());
-      All.push_back(evaluateSuiteConfigsParallel(M, Suite, *Solver, Timeout,
-                                                 Configs, Jobs));
+      All.push_back(evaluateSuite(M, Suite, *Solver, Timeout, Configs, Jobs));
     }
     size_t N = All[0][0].size();
     for (size_t I = 0; I < N; ++I) {
@@ -194,8 +191,8 @@ int main(int Argc, char **Argv) {
     // is solver-independent, so either solver's records would do.
     unsigned long Emitted = 0, Elided = 0;
     for (const EvalRecord &R : All[0][2]) {
-      Emitted += R.GuardsEmitted;
-      Elided += R.GuardsElided;
+      Emitted += R.Staub.GuardsEmitted;
+      Elided += R.Staub.GuardsElided;
     }
     unsigned long Total = Emitted + Elided;
     EvalSummary Staub = summarize(All[0][2], Timeout);

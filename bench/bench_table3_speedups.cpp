@@ -61,8 +61,8 @@ int main(int Argc, char **Argv) {
     for (auto &Solver : Solvers) {
       TermManager M;
       auto Suite = generateSuite(M, Logic, benchConfig());
-      auto PerConfig = evaluateSuiteConfigsParallel(M, Suite, *Solver,
-                                                    Timeout, Configs, Jobs);
+      auto PerConfig =
+          evaluateSuite(M, Suite, *Solver, Timeout, Configs, Jobs);
       for (size_t Cfg = 0; Cfg < Configs.size(); ++Cfg) {
         for (size_t IV = 0; IV < 4; ++IV) {
           EvalSummary S = summarize(PerConfig[Cfg], Timeout,

@@ -48,8 +48,8 @@ int main() {
 
     for (const GeneratedConstraint &C : Suite) {
       PortfolioResult R =
-          Racing ? runPortfolioRacing(M, C.Assertions, *Backend, Options)
-                 : runPortfolioMeasured(M, C.Assertions, *Backend, Options);
+          runPortfolio(M, C.Assertions, *Backend, Options,
+                       Racing ? LanePolicy::Racing : LanePolicy::Measured);
       std::printf("  %-18s -> %-7s in %6.3fs (%s lane decided",
                   C.Name.c_str(), std::string(toString(R.Status)).c_str(),
                   R.PortfolioSeconds, R.StaubWon ? "STAUB" : "original");

@@ -81,8 +81,8 @@ int main(int argc, char **argv) {
   // 4. STAUB could not answer by itself: fall back to the portfolio,
   //    which also runs the original constraint (and thus never loses).
   std::printf("falling back to the portfolio...\n");
-  PortfolioResult R = runPortfolioMeasured(Manager, Parsed.Parsed.Assertions,
-                                           *Backend, Options);
+  PortfolioResult R = runPortfolio(Manager, Parsed.Parsed.Assertions,
+                                   *Backend, Options, LanePolicy::Measured);
   std::printf("portfolio answer: %s (%.4fs; STAUB lane won: %s)\n",
               std::string(toString(R.Status)).c_str(), R.PortfolioSeconds,
               R.StaubWon ? "yes" : "no");

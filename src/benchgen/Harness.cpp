@@ -16,118 +16,6 @@ using namespace staub;
 
 namespace {
 
-/// Measures one constraint (original lane + STAUB lane) against
-/// \p Assertions, which live in \p Manager — either the suite's own
-/// manager (sequential path) or a worker's clone (parallel path).
-EvalRecord evaluateOne(TermManager &Manager, const GeneratedConstraint &C,
-                       const std::vector<Term> &Assertions,
-                       SolverBackend &Backend, const EvalOptions &Options) {
-  EvalRecord R;
-  R.Name = C.Name;
-
-  SolverOptions SolveOpts;
-  SolveOpts.TimeoutSeconds = Options.TimeoutSeconds;
-  SolveResult Original = Backend.solve(Manager, Assertions, SolveOpts);
-  R.OriginalStatus = Original.Status;
-  R.TPre = Original.Status == SolveStatus::Unknown ? Options.TimeoutSeconds
-                                                   : Original.TimeSeconds;
-
-  StaubOptions StaubOpts = Options.Staub;
-  StaubOpts.Solve.TimeoutSeconds = Options.TimeoutSeconds;
-  StaubOutcome Outcome =
-      runStaub(Manager, Assertions, Backend, StaubOpts, Options.Optimizer);
-  R.Path = Outcome.Path;
-  R.TTrans = Outcome.TransSeconds;
-  R.TPost = Outcome.SolveSeconds;
-  R.TCheck = Outcome.CheckSeconds;
-  R.ChosenWidth = Outcome.ChosenWidth;
-  R.GuardsEmitted = Outcome.GuardsEmitted;
-  R.GuardsElided = Outcome.GuardsElided;
-  R.ZoneFactsHarvested = Outcome.ZoneFactsHarvested;
-  R.RelationalGuardsElided = Outcome.RelationalGuardsElided;
-  R.EscalationSteps = Outcome.EscalationSteps;
-  R.SessionBlastCacheHits = Outcome.SessionBlastCacheHits;
-  R.Presolve = Outcome.Presolve;
-
-  // Cross-check against the planted ground truth where available: a
-  // decisive STAUB answer contradicting the plant would be a soundness
-  // bug (sat claims on planted-unsat, and the presolver's decisive unsat
-  // on planted-sat).
-  if (C.Expected && *C.Expected == SolveStatus::Unsat &&
-      (Outcome.Path == StaubPath::VerifiedSat ||
-       Outcome.Path == StaubPath::EscalatedSat ||
-       Outcome.Path == StaubPath::PresolvedSat)) {
-    std::fprintf(stderr,
-                 "SOUNDNESS VIOLATION: %s verified sat but planted unsat\n",
-                 C.Name.c_str());
-    std::abort();
-  }
-  if (C.Expected && *C.Expected == SolveStatus::Sat &&
-      Outcome.Path == StaubPath::PresolvedUnsat) {
-    std::fprintf(stderr,
-                 "SOUNDNESS VIOLATION: %s presolved unsat but planted sat\n",
-                 C.Name.c_str());
-    std::abort();
-  }
-  return R;
-}
-
-/// Measures one constraint for evaluateSuiteConfigs: the original lane
-/// once, then the STAUB lane per configuration. Writes PerConfig[K][Index].
-void evaluateOneConfigs(TermManager &Manager, const GeneratedConstraint &C,
-                        const std::vector<Term> &Assertions,
-                        SolverBackend &Backend, double TimeoutSeconds,
-                        const std::vector<EvalConfig> &Configs,
-                        std::vector<std::vector<EvalRecord>> &PerConfig,
-                        size_t Index) {
-  SolverOptions SolveOpts;
-  SolveOpts.TimeoutSeconds = TimeoutSeconds;
-  SolveResult Original = Backend.solve(Manager, Assertions, SolveOpts);
-  double TPre = Original.Status == SolveStatus::Unknown
-                    ? TimeoutSeconds
-                    : Original.TimeSeconds;
-
-  for (size_t K = 0; K < Configs.size(); ++K) {
-    EvalRecord R;
-    R.Name = C.Name;
-    R.OriginalStatus = Original.Status;
-    R.TPre = TPre;
-    StaubOptions StaubOpts = Configs[K].Staub;
-    StaubOpts.Solve.TimeoutSeconds = TimeoutSeconds;
-    StaubOutcome Outcome = runStaub(Manager, Assertions, Backend, StaubOpts,
-                                    Configs[K].Optimizer);
-    R.Path = Outcome.Path;
-    R.TTrans = Outcome.TransSeconds;
-    R.TPost = Outcome.SolveSeconds;
-    R.TCheck = Outcome.CheckSeconds;
-    R.ChosenWidth = Outcome.ChosenWidth;
-    R.GuardsEmitted = Outcome.GuardsEmitted;
-    R.GuardsElided = Outcome.GuardsElided;
-    R.ZoneFactsHarvested = Outcome.ZoneFactsHarvested;
-    R.RelationalGuardsElided = Outcome.RelationalGuardsElided;
-    R.EscalationSteps = Outcome.EscalationSteps;
-    R.SessionBlastCacheHits = Outcome.SessionBlastCacheHits;
-    R.Presolve = Outcome.Presolve;
-    if (C.Expected && *C.Expected == SolveStatus::Unsat &&
-        (Outcome.Path == StaubPath::VerifiedSat ||
-         Outcome.Path == StaubPath::EscalatedSat ||
-         Outcome.Path == StaubPath::PresolvedSat)) {
-      std::fprintf(
-          stderr, "SOUNDNESS VIOLATION: %s verified sat but planted unsat\n",
-          C.Name.c_str());
-      std::abort();
-    }
-    if (C.Expected && *C.Expected == SolveStatus::Sat &&
-        Outcome.Path == StaubPath::PresolvedUnsat) {
-      std::fprintf(
-          stderr, "SOUNDNESS VIOLATION: %s presolved unsat but planted sat\n",
-          C.Name.c_str());
-      std::abort();
-    }
-    PerConfig[K][Index] = std::move(R);
-  }
-}
-
 /// Runs \p Body(Index, WorkerManager, ClonedAssertions) for every suite
 /// index on \p Jobs worker threads. Indices are claimed from a shared
 /// atomic counter, so a worker stuck on a slow constraint never blocks the
@@ -174,69 +62,58 @@ unsigned resolveJobs(unsigned Jobs) {
 
 } // namespace
 
-std::vector<EvalRecord>
+std::vector<std::vector<EvalRecord>>
 staub::evaluateSuite(TermManager &Manager,
                      const std::vector<GeneratedConstraint> &Suite,
-                     SolverBackend &Backend, const EvalOptions &Options) {
-  std::vector<EvalRecord> Records;
-  Records.reserve(Suite.size());
-  for (const GeneratedConstraint &C : Suite)
-    Records.push_back(evaluateOne(Manager, C, C.Assertions, Backend, Options));
-  return Records;
-}
-
-std::vector<EvalRecord>
-staub::evaluateSuiteParallel(TermManager &Manager,
-                             const std::vector<GeneratedConstraint> &Suite,
-                             SolverBackend &Backend,
-                             const EvalOptions &Options, unsigned Jobs) {
-  Jobs = resolveJobs(Jobs);
-  if (Jobs <= 1 || Suite.size() <= 1)
-    return evaluateSuite(Manager, Suite, Backend, Options);
-
-  std::vector<EvalRecord> Records(Suite.size());
-  forEachConstraintParallel(
-      Manager, Suite, Jobs,
-      [&](size_t Index, TermManager &Local,
-          const std::vector<Term> &Assertions) {
-        Records[Index] =
-            evaluateOne(Local, Suite[Index], Assertions, Backend, Options);
-      });
-  return Records;
-}
-
-std::vector<std::vector<EvalRecord>>
-staub::evaluateSuiteConfigs(TermManager &Manager,
-                            const std::vector<GeneratedConstraint> &Suite,
-                            SolverBackend &Backend, double TimeoutSeconds,
-                            const std::vector<EvalConfig> &Configs) {
+                     SolverBackend &Backend, double TimeoutSeconds,
+                     const std::vector<EvalConfig> &Configs, unsigned Jobs) {
   std::vector<std::vector<EvalRecord>> PerConfig(
       Configs.size(), std::vector<EvalRecord>(Suite.size()));
-  for (size_t I = 0; I < Suite.size(); ++I)
-    evaluateOneConfigs(Manager, Suite[I], Suite[I].Assertions, Backend,
-                       TimeoutSeconds, Configs, PerConfig, I);
-  return PerConfig;
-}
+  // Measures constraint \p Index against \p Assertions, which live in
+  // \p M — the suite's own manager (one job) or a worker's clone: the
+  // original lane once, then the STAUB lane per configuration.
+  auto EvaluateOne = [&](size_t Index, TermManager &M,
+                         const std::vector<Term> &Assertions) {
+    const GeneratedConstraint &C = Suite[Index];
+    SolverOptions SolveOpts;
+    SolveOpts.TimeoutSeconds = TimeoutSeconds;
+    SolveResult Original = Backend.solve(M, Assertions, SolveOpts);
+    for (size_t K = 0; K < Configs.size(); ++K) {
+      EvalRecord &R = PerConfig[K][Index];
+      R.Name = C.Name;
+      R.OriginalStatus = Original.Status;
+      R.TPre = Original.Status == SolveStatus::Unknown ? TimeoutSeconds
+                                                       : Original.TimeSeconds;
+      StaubOptions StaubOpts = Configs[K].Staub;
+      StaubOpts.Solve.TimeoutSeconds = TimeoutSeconds;
+      R.Staub =
+          runStaub(M, Assertions, Backend, StaubOpts, Configs[K].Optimizer);
+      R.Staub.VerifiedModel = Model();
+      R.Staub.BoundedAssertions.clear();
 
-std::vector<std::vector<EvalRecord>>
-staub::evaluateSuiteConfigsParallel(
-    TermManager &Manager, const std::vector<GeneratedConstraint> &Suite,
-    SolverBackend &Backend, double TimeoutSeconds,
-    const std::vector<EvalConfig> &Configs, unsigned Jobs) {
+      // Cross-check against the planted ground truth where available: a
+      // decisive STAUB answer contradicting the plant would be a soundness
+      // bug (sat claims on planted-unsat, and the presolver's decisive
+      // unsat on planted-sat).
+      SolveStatus Claimed = R.Staub.Path == StaubPath::PresolvedUnsat
+                                ? SolveStatus::Unsat
+                                : SolveStatus::Sat;
+      if (C.Expected && R.verified() && Claimed != *C.Expected) {
+        std::fprintf(stderr, "SOUNDNESS VIOLATION: %s %s but planted %s\n",
+                     C.Name.c_str(),
+                     std::string(toString(R.Staub.Path)).c_str(),
+                     std::string(toString(*C.Expected)).c_str());
+        std::abort();
+      }
+    }
+  };
   Jobs = resolveJobs(Jobs);
-  if (Jobs <= 1 || Suite.size() <= 1)
-    return evaluateSuiteConfigs(Manager, Suite, Backend, TimeoutSeconds,
-                                Configs);
-
-  std::vector<std::vector<EvalRecord>> PerConfig(
-      Configs.size(), std::vector<EvalRecord>(Suite.size()));
-  forEachConstraintParallel(
-      Manager, Suite, Jobs,
-      [&](size_t Index, TermManager &Local,
-          const std::vector<Term> &Assertions) {
-        evaluateOneConfigs(Local, Suite[Index], Assertions, Backend,
-                           TimeoutSeconds, Configs, PerConfig, Index);
-      });
+  if (Jobs <= 1 || Suite.size() <= 1) {
+    for (size_t I = 0; I < Suite.size(); ++I)
+      EvaluateOne(I, Manager, Suite[I].Assertions);
+  } else {
+    forEachConstraintParallel(Manager, Suite, Jobs, EvaluateOne);
+  }
   return PerConfig;
 }
 
@@ -258,12 +135,12 @@ EvalSummary staub::summarize(const std::vector<EvalRecord> &Records,
     }
     if (R.tractabilityImprovement())
       ++S.Tractability;
-    if (R.Path == StaubPath::SemanticDifference)
+    if (R.Staub.Path == StaubPath::SemanticDifference)
       ++S.SemanticDifferences;
     if (R.presolveDecided())
       ++S.PresolveDecided;
-    S.PresolveAssertionsDropped += R.Presolve.AssertionsDropped;
-    S.PresolveWidthBitsSaved += R.Presolve.WidthBitsSaved;
+    S.PresolveAssertionsDropped += R.Staub.Presolve.AssertionsDropped;
+    S.PresolveWidthBitsSaved += R.Staub.Presolve.WidthBitsSaved;
   }
   S.VerifiedSpeedup = geometricMean(VerifiedSpeedups);
   S.OverallSpeedup = geometricMean(AllSpeedups);

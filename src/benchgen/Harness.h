@@ -25,38 +25,25 @@
 
 namespace staub {
 
-/// Per-constraint measurement.
+/// Per-constraint measurement: the original lane once, and the STAUB lane
+/// under one configuration.
 struct EvalRecord {
   std::string Name;
   SolveStatus OriginalStatus = SolveStatus::Unknown;
   double TPre = 0.0; ///< Original-lane time (timeout => full timeout).
-  StaubPath Path = StaubPath::TranslationFailed;
-  double TTrans = 0.0, TPost = 0.0, TCheck = 0.0;
-  unsigned ChosenWidth = 0;
-  /// Overflow-guard accounting for the Int->BV lane: how many guard
-  /// assertions the translator emitted vs. statically discharged via
-  /// interval analysis (docs/ANALYSIS.md).
-  unsigned GuardsEmitted = 0;
-  unsigned GuardsElided = 0;
-  /// Relational elision counters (staub/Staub.h): octagon facts harvested
-  /// from the original assertions, and guards only the relational domain
-  /// could discharge (a subset of GuardsElided).
-  unsigned ZoneFactsHarvested = 0;
-  unsigned RelationalGuardsElided = 0;
-  /// Width-escalation ladder counters (staub/Staub.h).
-  unsigned EscalationSteps = 0;
-  uint64_t SessionBlastCacheHits = 0;
-  /// Presolver counters for this run (analysis/Presolve.h).
-  analysis::PresolveStats Presolve;
+  /// The STAUB lane's outcome. VerifiedModel and BoundedAssertions are
+  /// left empty: their terms would belong to the manager the constraint
+  /// was solved in, a worker's private clone when evaluateSuite runs with
+  /// Jobs > 1.
+  StaubOutcome Staub;
 
-  double staubSeconds() const { return TTrans + TPost + TCheck; }
   /// The STAUB lane decisively answered the original constraint: a
   /// verified sat model or a presolve static verdict (either polarity).
-  bool verified() const { return isDecisive(Path); }
+  bool verified() const { return isDecisive(Staub.Path); }
   /// The presolver alone decided this case (zero solver calls).
   bool presolveDecided() const {
-    return Path == StaubPath::PresolvedSat ||
-           Path == StaubPath::PresolvedUnsat;
+    return Staub.Path == StaubPath::PresolvedSat ||
+           Staub.Path == StaubPath::PresolvedUnsat;
   }
   /// Original lane failed but STAUB produced a verified answer.
   bool tractabilityImprovement() const {
@@ -66,7 +53,7 @@ struct EvalRecord {
   double portfolioSeconds(double Timeout) const {
     double Pre = OriginalStatus == SolveStatus::Unknown ? Timeout : TPre;
     if (verified())
-      return std::min(Pre, staubSeconds());
+      return std::min(Pre, Staub.totalSeconds());
     return Pre;
   }
   /// alpha per the paper; timeouts as full-timeout contributions.
@@ -93,63 +80,34 @@ struct EvalSummary {
   double OverallSpeedup = 1.0;  ///< Geomean over the whole suite.
 };
 
-/// Options for one evaluation sweep.
-struct EvalOptions {
-  double TimeoutSeconds = 2.0;
+/// One STAUB configuration for a sweep (Table 3's STAUB / Fixed 8-bit /
+/// Fixed 16-bit / SLOT columns).
+struct EvalConfig {
+  std::string Label;
   StaubOptions Staub;
   /// Optional bounded-side optimizer (SLOT, RQ2).
   std::vector<Term> (*Optimizer)(TermManager &,
                                  const std::vector<Term> &) = nullptr;
 };
 
-/// Runs every constraint of \p Suite through \p Backend, both plain and
-/// via STAUB; returns per-constraint records.
-std::vector<EvalRecord> evaluateSuite(TermManager &Manager,
-                                      const std::vector<GeneratedConstraint> &Suite,
-                                      SolverBackend &Backend,
-                                      const EvalOptions &Options);
-
-/// evaluateSuite over a pool of \p Jobs worker threads. Workers pull
-/// constraints from a shared queue (work stealing over a suite whose
-/// per-constraint costs vary by orders of magnitude) and each owns a
-/// private TermManager clone — \p Manager is only read during the run.
-/// Records land at their constraint's suite index, so record order and
-/// every order-sensitive aggregate (summarize's geomeans) match the
-/// sequential evaluator; only wall-clock changes. Jobs <= 1 runs the
-/// sequential evaluator; 0 means one job per hardware thread.
-std::vector<EvalRecord>
-evaluateSuiteParallel(TermManager &Manager,
-                      const std::vector<GeneratedConstraint> &Suite,
-                      SolverBackend &Backend, const EvalOptions &Options,
-                      unsigned Jobs);
-
-/// One STAUB configuration for a multi-config sweep (Table 3's STAUB /
-/// Fixed 8-bit / Fixed 16-bit / SLOT columns).
-struct EvalConfig {
-  std::string Label;
-  StaubOptions Staub;
-  std::vector<Term> (*Optimizer)(TermManager &,
-                                 const std::vector<Term> &) = nullptr;
-};
-
-/// Like evaluateSuite but measures the original lane once and the STAUB
-/// lane per configuration; returns one record vector per config (indexed
-/// like \p Configs).
+/// Runs every constraint of \p Suite through \p Backend: the original
+/// lane once per constraint, then the STAUB lane once per entry of
+/// \p Configs, all with \p TimeoutSeconds. Returns one record vector per
+/// config (indexed like \p Configs), each indexed like \p Suite, so all
+/// configs of a constraint share one T_pre.
+///
+/// \p Jobs > 1 runs a pool of worker threads. Workers pull constraints
+/// from a shared queue (work stealing over a suite whose per-constraint
+/// costs vary by orders of magnitude) and each owns a private TermManager
+/// clone — \p Manager is only read during the run. Records land at their
+/// constraint's suite index, so record order and every order-sensitive
+/// aggregate (summarize's geomeans) match the single-threaded run; only
+/// wall-clock changes. 0 means one job per hardware thread.
 std::vector<std::vector<EvalRecord>>
-evaluateSuiteConfigs(TermManager &Manager,
-                     const std::vector<GeneratedConstraint> &Suite,
-                     SolverBackend &Backend, double TimeoutSeconds,
-                     const std::vector<EvalConfig> &Configs);
-
-/// Parallel evaluateSuiteConfigs; same worker-pool and determinism
-/// contract as evaluateSuiteParallel (all configs of one constraint run
-/// on the same worker, against the same original-lane measurement).
-std::vector<std::vector<EvalRecord>>
-evaluateSuiteConfigsParallel(TermManager &Manager,
-                             const std::vector<GeneratedConstraint> &Suite,
-                             SolverBackend &Backend, double TimeoutSeconds,
-                             const std::vector<EvalConfig> &Configs,
-                             unsigned Jobs);
+evaluateSuite(TermManager &Manager,
+              const std::vector<GeneratedConstraint> &Suite,
+              SolverBackend &Backend, double TimeoutSeconds,
+              const std::vector<EvalConfig> &Configs, unsigned Jobs = 1);
 
 /// Aggregates records, optionally restricted to those with TPre within
 /// [MinPre, Timeout] (the paper's T_pre interval rows in Table 3).

@@ -340,8 +340,8 @@ std::optional<Violation> checkPortfolioAgreement(TermManager &Manager,
                                                  SolverBackend &Backend,
                                                  const OracleOptions &Options) {
   StaubOptions SO = pipelineOptions(Options);
-  PortfolioResult Measured =
-      runPortfolioMeasured(Manager, Instance.Assertions, Backend, SO);
+  PortfolioResult Measured = runPortfolio(Manager, Instance.Assertions,
+                                          Backend, SO, LanePolicy::Measured);
   if (Measured.Status == SolveStatus::Sat) {
     std::optional<bool> Holds =
         evaluateConjunction(Manager, Instance.Assertions, Measured.TheModel);
@@ -360,8 +360,8 @@ std::optional<Violation> checkPortfolioAgreement(TermManager &Manager,
                          Instance);
   if (!Options.CheckPortfolio)
     return std::nullopt;
-  PortfolioResult Racing =
-      runPortfolioRacing(Manager, Instance.Assertions, Backend, SO);
+  PortfolioResult Racing = runPortfolio(Manager, Instance.Assertions,
+                                        Backend, SO, LanePolicy::Racing);
   if (Racing.Status == SolveStatus::Sat) {
     std::optional<bool> Holds =
         evaluateConjunction(Manager, Instance.Assertions, Racing.TheModel);

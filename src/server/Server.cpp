@@ -39,26 +39,17 @@ QueryResult staub::server::evaluateQuery(const std::string &SmtLib,
     R.Seconds = Timer.elapsedSeconds();
     return R;
   }
-  const std::vector<Term> &Assertions = Parsed.Parsed.Assertions;
-
   std::unique_ptr<SolverBackend> Backend = createMiniSmtSolver();
   StaubOptions Options;
   Options.Solve.TimeoutSeconds = TimeoutSeconds;
-
-  StaubOutcome Outcome = runStaub(Manager, Assertions, *Backend, Options);
+  PortfolioResult P = runPortfolio(Manager, Parsed.Parsed.Assertions,
+                                   *Backend, Options, LanePolicy::Sequential);
   R.Ok = true;
-  R.Width = Outcome.ChosenWidth;
-  if (isDecisive(Outcome.Path)) {
-    R.Path = std::string(toString(Outcome.Path));
-    R.Status = Outcome.Path == StaubPath::PresolvedUnsat ? SolveStatus::Unsat
-                                                         : SolveStatus::Sat;
-  } else {
-    // Underapproximation could not conclude: revert to the original
-    // constraint, exactly like the CLI does.
-    SolveResult Original = Backend->solve(Manager, Assertions, Options.Solve);
-    R.Status = Original.Status;
-    R.Path = "fallback:" + std::string(toString(Outcome.Path));
-  }
+  R.Status = P.Status;
+  R.Width = P.Staub.ChosenWidth;
+  R.Path = std::string(toString(P.Staub.Path));
+  if (!P.StaubWon) // The STAUB lane reverted to the fallback solve.
+    R.Path.insert(0, "fallback:");
   R.Seconds = Timer.elapsedSeconds();
   return R;
 }

@@ -13,8 +13,9 @@
 /// solved on its own: each worker parses into a fresh TermManager, so
 /// workers share no solver state.
 ///
-/// evaluateQuery() — one query through parse + runStaub + fallback — is
-/// exposed directly so benches and tests can run the server's query path
+/// evaluateQuery() — one query through parse and runPortfolio's
+/// Sequential policy (runStaub, then a fallback solve) — is exposed
+/// directly so benches and tests can run the server's query path
 /// without a socket.
 ///
 //===----------------------------------------------------------------------===//
@@ -66,9 +67,9 @@ struct QueryResult {
 };
 
 /// Runs one SMT-LIB query through the full arbitrage pipeline: fresh
-/// TermManager, parse, runStaub with the MiniSMT backend, and a plain
-/// fallback solve of the original constraint when the STAUB lane is not
-/// decisive.
+/// TermManager, parse, then runPortfolio with the MiniSMT backend under
+/// LanePolicy::Sequential (runStaub, and a plain fallback solve of the
+/// original constraint when the STAUB lane is not decisive).
 /// The SharedSolveCaches argument is ignored; perfbench names it.
 QueryResult evaluateQuery(const std::string &SmtLib, SharedSolveCaches *,
                           double TimeoutSeconds);

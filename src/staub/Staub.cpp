@@ -356,58 +356,27 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   return Outcome;
 }
 
-PortfolioResult staub::runPortfolioMeasured(
-    TermManager &Manager, const std::vector<Term> &Assertions,
-    SolverBackend &Backend, const StaubOptions &Options,
-    std::vector<Term> (*Optimizer)(TermManager &,
-                                   const std::vector<Term> &)) {
-  PortfolioResult Result;
+namespace {
 
-  // Original lane (T_pre).
-  SolveResult Original = Backend.solve(Manager, Assertions, Options.Solve);
-  Result.OriginalSeconds = Original.TimeSeconds;
+/// What the two lanes leave for the precedence rule: each lane's result
+/// and its finish time on the policy's clock.
+struct LaneResults {
+  StaubOutcome Staub;
+  SolveResult Original; ///< Unknown until the original lane runs.
+  double StaubDone = 0.0;
+  double OriginalDone = 0.0;
+};
 
-  // STAUB lane.
-  Result.Staub = runStaub(Manager, Assertions, Backend, Options, Optimizer);
-  Result.StaubSeconds = Result.Staub.totalSeconds();
-
-  bool OriginalDecided = Original.Status != SolveStatus::Unknown;
-  bool StaubDecided = isDecisive(Result.Staub.Path);
-
-  // The answering lane goes by precedence, not by which lane measured
-  // faster, so the answer never depends on timing; the portfolio time is
-  // still the first decisive lane's.
-  if (StaubDecided) {
-    if (Result.Staub.Path == StaubPath::PresolvedUnsat) {
-      Result.Status = SolveStatus::Unsat;
-    } else {
-      Result.Status = SolveStatus::Sat;
-      Result.TheModel = Result.Staub.VerifiedModel;
-    }
-    Result.StaubWon = true;
-    Result.PortfolioSeconds =
-        OriginalDecided ? std::min(Result.StaubSeconds, Result.OriginalSeconds)
-                        : Result.StaubSeconds;
-    return Result;
-  }
-  if (OriginalDecided) {
-    Result.Status = Original.Status;
-    Result.TheModel = std::move(Original.TheModel);
-    Result.PortfolioSeconds = Result.OriginalSeconds;
-    return Result;
-  }
-  // Neither decided.
-  Result.Status = SolveStatus::Unknown;
-  Result.PortfolioSeconds =
-      std::max(Result.OriginalSeconds, Result.StaubSeconds);
-  return Result;
-}
-
-PortfolioResult staub::runPortfolioRacing(TermManager &Manager,
-                                          const std::vector<Term> &Assertions,
-                                          SolverBackend &Backend,
-                                          const StaubOptions &Options) {
-  PortfolioResult Result;
+/// The racing lanes: the original lane solves a clone of the constraint
+/// on its own thread while the STAUB lane runs on this one, and both
+/// finish times are read off one wall clock. The original lane's model is
+/// remapped onto \p Manager's variables by name.
+LaneResults raceLanes(TermManager &Manager,
+                      const std::vector<Term> &Assertions,
+                      SolverBackend &Backend, const StaubOptions &Options,
+                      std::vector<Term> (*Optimizer)(
+                          TermManager &, const std::vector<Term> &)) {
+  LaneResults L;
   WallTimer Timer;
 
   // Clone the constraint for the original lane so the two threads never
@@ -420,68 +389,94 @@ PortfolioResult staub::runPortfolioRacing(TermManager &Manager,
       CloneAssertions.push_back(Cloner.clone(Assertion));
   }
 
-  // First result wins: whichever lane finishes with a decisive answer
-  // fires the other lane's token, so the loser stops within one poll
-  // interval instead of running out its timeout. A cancelled lane reports
-  // Unknown with its time-at-cancel. Both tokens also stop when the
-  // caller's token does.
+  // Whichever lane finishes with a decisive answer fires the other lane's
+  // token, so the loser stops within one poll interval instead of running
+  // out its timeout. Both tokens also stop when the caller's token does.
   CancellationToken CancelOriginal(Options.Solve.Cancel);
   CancellationToken CancelStaub(Options.Solve.Cancel);
 
-  // Written by the lane thread, read only after join().
-  SolveResult Original;
-  double OriginalDone = 0.0;
+  // Writes L.Original and L.OriginalDone, read only after join().
   std::thread OriginalLane([&] {
     SolverOptions LaneOptions = Options.Solve;
     LaneOptions.Cancel = &CancelOriginal;
-    Original = Backend.solve(CloneManager, CloneAssertions, LaneOptions);
-    OriginalDone = Timer.elapsedSeconds();
-    if (Original.Status != SolveStatus::Unknown)
+    L.Original = Backend.solve(CloneManager, CloneAssertions, LaneOptions);
+    L.OriginalDone = Timer.elapsedSeconds();
+    if (L.Original.Status != SolveStatus::Unknown)
       CancelStaub.cancel();
   });
 
   StaubOptions StaubOptionsWithCancel = Options;
   StaubOptionsWithCancel.Solve.Cancel = &CancelStaub;
-  StaubOutcome Staub =
-      runStaub(Manager, Assertions, Backend, StaubOptionsWithCancel, nullptr);
-  double StaubDone = Timer.elapsedSeconds();
-  bool StaubDecided = isDecisive(Staub.Path);
-  if (StaubDecided)
+  L.Staub = runStaub(Manager, Assertions, Backend, StaubOptionsWithCancel,
+                     Optimizer);
+  L.StaubDone = Timer.elapsedSeconds();
+  if (isDecisive(L.Staub.Path))
     CancelOriginal.cancel();
   OriginalLane.join();
 
-  Result.Staub = Staub;
-  Result.OriginalSeconds = Original.TimeSeconds;
-  Result.StaubSeconds = Staub.totalSeconds();
+  // Model values live in the clone manager's terms; remap by name.
+  Model Remapped;
+  for (const auto &[VarId, V] : L.Original.TheModel) {
+    Term Mine = Manager.lookupVariable(CloneManager.variableName(Term(VarId)));
+    if (Mine.isValid())
+      Remapped.set(Mine, V);
+  }
+  L.Original.TheModel = std::move(Remapped);
+  return L;
+}
 
-  // Precedence as in runPortfolioMeasured: a decisive STAUB path answers
-  // even when the original lane finished first.
-  bool OriginalDecided = Original.Status != SolveStatus::Unknown;
-  if (StaubDecided) {
-    if (Staub.Path == StaubPath::PresolvedUnsat) {
-      Result.Status = SolveStatus::Unsat;
-    } else {
-      Result.Status = SolveStatus::Sat;
-      Result.TheModel = Staub.VerifiedModel;
+} // namespace
+
+PortfolioResult staub::runPortfolio(
+    TermManager &Manager, const std::vector<Term> &Assertions,
+    SolverBackend &Backend, const StaubOptions &Options, LanePolicy Policy,
+    std::vector<Term> (*Optimizer)(TermManager &,
+                                   const std::vector<Term> &)) {
+  LaneResults L;
+  switch (Policy) {
+  case LanePolicy::Sequential:
+    L.Staub = runStaub(Manager, Assertions, Backend, Options, Optimizer);
+    L.StaubDone = L.Staub.totalSeconds();
+    if (!isDecisive(L.Staub.Path)) {
+      // Underapproximation could not conclude: revert to the original
+      // constraint.
+      L.Original = Backend.solve(Manager, Assertions, Options.Solve);
+      L.OriginalDone = L.StaubDone + L.Original.TimeSeconds;
     }
+    break;
+  case LanePolicy::Measured:
+    L.Original = Backend.solve(Manager, Assertions, Options.Solve);
+    L.OriginalDone = L.Original.TimeSeconds;
+    L.Staub = runStaub(Manager, Assertions, Backend, Options, Optimizer);
+    L.StaubDone = L.Staub.totalSeconds();
+    break;
+  case LanePolicy::Racing:
+    L = raceLanes(Manager, Assertions, Backend, Options, Optimizer);
+    break;
+  }
+
+  PortfolioResult Result;
+  Result.OriginalSeconds = L.Original.TimeSeconds;
+  Result.StaubSeconds = L.Staub.totalSeconds();
+  // The answering lane goes by precedence, not by which lane finished
+  // first, so the answer never depends on timing; the portfolio time is
+  // still the first decisive lane's.
+  bool OriginalDecided = L.Original.Status != SolveStatus::Unknown;
+  if (isDecisive(L.Staub.Path)) {
+    Result.Status = L.Staub.Path == StaubPath::PresolvedUnsat
+                        ? SolveStatus::Unsat
+                        : SolveStatus::Sat;
+    Result.TheModel = std::move(L.Staub.VerifiedModel);
     Result.StaubWon = true;
     Result.PortfolioSeconds =
-        OriginalDecided ? std::min(StaubDone, OriginalDone) : StaubDone;
-    return Result;
+        OriginalDecided ? std::min(L.StaubDone, L.OriginalDone) : L.StaubDone;
+  } else if (OriginalDecided) {
+    Result.Status = L.Original.Status;
+    Result.TheModel = std::move(L.Original.TheModel);
+    Result.PortfolioSeconds = L.OriginalDone;
+  } else {
+    Result.PortfolioSeconds = std::max(L.StaubDone, L.OriginalDone);
   }
-  if (OriginalDecided) {
-    Result.Status = Original.Status;
-    Result.PortfolioSeconds = OriginalDone;
-    // Model values live in the clone manager's terms; remap by name.
-    for (const auto &[VarId, V] : Original.TheModel) {
-      Term CloneVar(VarId);
-      Term Mine = Manager.lookupVariable(CloneManager.variableName(CloneVar));
-      if (Mine.isValid())
-        Result.TheModel.set(Mine, V);
-    }
-    return Result;
-  }
-  Result.Status = SolveStatus::Unknown;
-  Result.PortfolioSeconds = Timer.elapsedSeconds();
+  Result.Staub = std::move(L.Staub);
   return Result;
 }

@@ -8,9 +8,9 @@
 /// The end-to-end STAUB pipeline (paper Fig. 3): sort selection, bound
 /// inference via abstract interpretation, translation to the bounded
 /// theory, solving, and verification of the bounded model against the
-/// original constraint under exact unbounded semantics. The portfolio
-/// driver combines STAUB with a plain solver run so no constraint is ever
-/// slowed down (Sec. 4.4 / 5.1).
+/// original constraint under exact unbounded semantics. The query driver,
+/// runPortfolio, pairs STAUB with a plain solve of the original constraint
+/// under a LanePolicy (Sec. 4.4 / 5.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -158,44 +158,60 @@ runStaub(TermManager &Manager, const std::vector<Term> &Assertions,
          std::vector<Term> (*Optimizer)(TermManager &,
                                         const std::vector<Term> &) = nullptr);
 
+/// How runPortfolio schedules its two lanes: the STAUB lane (runStaub)
+/// and the original lane (a plain Backend.solve of the unbounded
+/// constraint). The answer never depends on the policy, only the work
+/// done and the time taken do: a decisive STAUB path answers, otherwise a
+/// decided original lane, otherwise Unknown.
+enum class LanePolicy {
+  /// The STAUB lane, then the original lane only when STAUB's path is not
+  /// decisive (the paper's revert, Sec. 4.4). The fallback gets a fresh
+  /// Options.Solve.TimeoutSeconds. The CLI default and staubd.
+  Sequential,
+  /// Both lanes to completion on the calling thread, original lane first
+  /// (Sec. 5.1's measured portfolio). Deterministic and load-independent:
+  /// `staub --portfolio --jobs=1`, the fuzz portfolio-agreement oracle and
+  /// the termination prover.
+  Measured,
+  /// Both lanes on two threads (the deployment configuration, `staub
+  /// --portfolio`). The original lane solves a clone of the constraint in
+  /// a private TermManager. The first decisive lane cancels the other
+  /// through its CancellationToken, so the call returns as soon as the
+  /// loser observes the token (typically well under 100ms) instead of
+  /// waiting out the loser's timeout; the cancelled lane reports Unknown
+  /// with its wall time at cancellation.
+  Racing,
+};
+
 /// Combined portfolio answer for one constraint.
 struct PortfolioResult {
   SolveStatus Status = SolveStatus::Unknown;
-  Model TheModel;          ///< Original-theory model when Status == Sat.
+  /// Original-theory model when Status == Sat, moved out of the answering
+  /// lane (so Staub.VerifiedModel is empty when the STAUB lane answered).
+  Model TheModel;
   /// True when the STAUB lane supplied the answer: it does whenever its
   /// path is decisive, even if the original lane decided sooner, so the
   /// flag never depends on lane timing.
   bool StaubWon = false;
-  double OriginalSeconds = 0.0; ///< T_pre.
+  double OriginalSeconds = 0.0; ///< T_pre; 0 when the lane never ran.
   double StaubSeconds = 0.0;    ///< T_trans + T_post + T_check.
   StaubOutcome Staub;
-  /// Portfolio wall time = min of the two lanes when both decide; the
-  /// deciding lane's time otherwise.
+  /// The answering lane's finish time on the policy's clock: Sequential
+  /// adds the fallback's time to the STAUB lane's; Measured takes the
+  /// faster lane when both decide; Racing reads the wall clock. Without
+  /// an answer, the time the last lane finished.
   double PortfolioSeconds = 0.0;
 };
 
-/// Measured portfolio (Sec. 5.1): runs both lanes to completion. A
-/// decisive STAUB path answers, otherwise a decided original lane; the
-/// portfolio time is the faster decisive lane's. Deterministic and
-/// load-independent; used by the benchmark harness.
+/// Runs both lanes on one constraint under \p Policy and answers by
+/// precedence. \p Optimizer is passed to runStaub.
 PortfolioResult
-runPortfolioMeasured(TermManager &Manager, const std::vector<Term> &Assertions,
-                     SolverBackend &Backend, const StaubOptions &Options,
-                     std::vector<Term> (*Optimizer)(TermManager &,
-                                                    const std::vector<Term> &) =
-                         nullptr);
-
-/// Racing portfolio: runs the two lanes on two threads and returns once
-/// a lane decides (the deployment configuration). The first decisive lane
-/// cancels the other through its CancellationToken, so the call returns
-/// as soon as the loser observes the token (typically well under 100ms)
-/// instead of waiting out the loser's timeout. The cancelled lane reports
-/// Unknown with its wall time at cancellation. When both lanes decide,
-/// the answer goes by runPortfolioMeasured's precedence.
-PortfolioResult runPortfolioRacing(TermManager &Manager,
-                                   const std::vector<Term> &Assertions,
-                                   SolverBackend &Backend,
-                                   const StaubOptions &Options);
+runPortfolio(TermManager &Manager, const std::vector<Term> &Assertions,
+             SolverBackend &Backend, const StaubOptions &Options,
+             LanePolicy Policy,
+             std::vector<Term> (*Optimizer)(TermManager &,
+                                            const std::vector<Term> &) =
+                 nullptr);
 
 } // namespace staub
 

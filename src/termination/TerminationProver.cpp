@@ -214,8 +214,8 @@ TerminationAnalysis staub::analyzeTermination(TermManager &Manager,
   if (UseStaub) {
     StaubOptions StaubOpts;
     StaubOpts.Solve = Options;
-    PortfolioResult R =
-        runPortfolioMeasured(Manager, NonTerm, Backend, StaubOpts);
+    PortfolioResult R = runPortfolio(Manager, NonTerm, Backend, StaubOpts,
+                                     LanePolicy::Measured);
     Out.NonterminationSeconds = R.PortfolioSeconds;
     Out.StaubWonNontermination = R.StaubWon;
     if (R.Status == SolveStatus::Sat) {

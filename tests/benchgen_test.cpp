@@ -138,11 +138,10 @@ TEST(HarnessTest, EvaluateAndSummarize) {
   Config.Seed = 77;
   auto Suite = generateSuite(M, BenchLogic::QF_LIA, Config);
   auto Solver = createZ3ProcessSolver();
-  EvalOptions Options;
-  Options.TimeoutSeconds = 1.0;
-  auto Records = evaluateSuite(M, Suite, *Solver, Options);
+  const double Timeout = 1.0;
+  auto Records = evaluateSuite(M, Suite, *Solver, Timeout, {EvalConfig()})[0];
   ASSERT_EQ(Records.size(), Suite.size());
-  EvalSummary Summary = summarize(Records, Options.TimeoutSeconds);
+  EvalSummary Summary = summarize(Records, Timeout);
   EXPECT_EQ(Summary.Count, Records.size());
   // Portfolio accounting: overall speedup is at least ~1 (never worse).
   EXPECT_GE(Summary.OverallSpeedup, 0.99);

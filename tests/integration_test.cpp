@@ -145,8 +145,8 @@ TEST(IntegrationTest, PortfolioSoundOnMixedSuite) {
   StaubOptions Options;
   Options.Solve.TimeoutSeconds = 5.0;
   for (const GeneratedConstraint &C : Suite) {
-    PortfolioResult Measured =
-        runPortfolioMeasured(M, C.Assertions, *Backend, Options);
+    PortfolioResult Measured = runPortfolio(M, C.Assertions, *Backend, Options,
+                                            LanePolicy::Measured);
     if (C.Expected && Measured.Status != SolveStatus::Unknown)
       EXPECT_EQ(Measured.Status, *C.Expected) << C.Name;
     if (Measured.Status == SolveStatus::Sat && !Measured.TheModel.empty())

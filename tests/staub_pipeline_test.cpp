@@ -233,8 +233,8 @@ TEST(StaubPipelineTest, PortfolioNeverWorseAndSound) {
                "(assert (> x 5))(assert (< x 3))");
   auto Backend = createMiniSmtSolver();
   StaubOptions Options;
-  PortfolioResult R =
-      runPortfolioMeasured(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                   LanePolicy::Measured);
   EXPECT_EQ(R.Status, SolveStatus::Unsat);
   // The presolver's unsat verdict is decisive, so the STAUB lane now wins
   // this one outright (no model to report).
@@ -243,8 +243,8 @@ TEST(StaubPipelineTest, PortfolioNeverWorseAndSound) {
 
   // With presolve off, only the original lane can answer unsat.
   Options.Presolve = false;
-  PortfolioResult NoPre =
-      runPortfolioMeasured(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult NoPre = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                       LanePolicy::Measured);
   EXPECT_EQ(NoPre.Status, SolveStatus::Unsat);
   EXPECT_FALSE(NoPre.StaubWon);
 }
@@ -256,8 +256,8 @@ TEST(StaubPipelineTest, PortfolioSatPrefersFasterLane) {
   auto Backend = createMiniSmtSolver();
   StaubOptions Options;
   Options.Solve.TimeoutSeconds = 30.0;
-  PortfolioResult R =
-      runPortfolioMeasured(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                   LanePolicy::Measured);
   ASSERT_EQ(R.Status, SolveStatus::Sat);
   EXPECT_TRUE(evaluatesToTrue(P.M, P.M.mkAnd(P.Assertions), R.TheModel));
   EXPECT_LE(R.PortfolioSeconds,
@@ -271,8 +271,8 @@ TEST(StaubPipelineTest, RacingPortfolioAgrees) {
   auto Backend = createMiniSmtSolver();
   StaubOptions Options;
   Options.Solve.TimeoutSeconds = 30.0;
-  PortfolioResult R =
-      runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                   LanePolicy::Racing);
   EXPECT_EQ(R.Status, SolveStatus::Sat);
 }
 

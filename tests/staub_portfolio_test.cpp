@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the first-result-wins portfolio and its supporting pieces:
+/// Tests for the query driver's lane policies and their supporting pieces:
 /// cooperative cancellation of MiniSMT, cross-manager term cloning, model
-/// remapping from the racing clone back into the caller's manager, and
-/// the parallel suite evaluator's determinism contract.
+/// remapping from the racing clone back into the caller's manager, each
+/// policy's lane schedule, and the parallel suite evaluator's determinism
+/// contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -212,7 +213,7 @@ TEST(TermClonerTest, CachePersistsAcrossRoots) {
 
 TEST(PortfolioRacingTest, AgreesWithMeasuredOnMixedSuite) {
   // Seeded mixed sat/unsat constraints that both lanes decide quickly, so
-  // racing and measured must report identical statuses.
+  // racing, measured and sequential must report identical statuses.
   struct Case {
     const char *Text;
     SolveStatus Expected;
@@ -238,13 +239,16 @@ TEST(PortfolioRacingTest, AgreesWithMeasuredOnMixedSuite) {
     StaubOptions Options;
     Options.Solve.TimeoutSeconds = 20.0;
 
-    PortfolioResult Racing =
-        runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
-    PortfolioResult Measured =
-        runPortfolioMeasured(P.M, P.Assertions, *Backend, Options);
+    PortfolioResult Racing = runPortfolio(P.M, P.Assertions, *Backend,
+                                          Options, LanePolicy::Racing);
+    PortfolioResult Measured = runPortfolio(P.M, P.Assertions, *Backend,
+                                            Options, LanePolicy::Measured);
+    PortfolioResult Sequential = runPortfolio(
+        P.M, P.Assertions, *Backend, Options, LanePolicy::Sequential);
 
     EXPECT_EQ(Racing.Status, C.Expected) << C.Text;
     EXPECT_EQ(Racing.Status, Measured.Status) << C.Text;
+    EXPECT_EQ(Sequential.Status, Measured.Status) << C.Text;
     // Per-lane accounting is honest: the winning lane's time bounds the
     // portfolio, and a sat answer carries a model.
     EXPECT_GE(Racing.PortfolioSeconds, 0.0);
@@ -266,7 +270,8 @@ TEST(PortfolioRacingTest, IntModelRemapRoundTrips) {
                             // statically; this test pins the remap path.
   Options.Solve.TimeoutSeconds = 20.0;
 
-  PortfolioResult R = runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                   LanePolicy::Racing);
   ASSERT_EQ(R.Status, SolveStatus::Sat);
   EXPECT_FALSE(R.StaubWon);
   Term X = P.M.lookupVariable("x");
@@ -292,7 +297,8 @@ TEST(PortfolioRacingTest, RealModelRemapRoundTrips) {
                             // statically; this test pins the remap path.
   Options.Solve.TimeoutSeconds = 20.0;
 
-  PortfolioResult R = runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                   LanePolicy::Racing);
   ASSERT_EQ(R.Status, SolveStatus::Sat);
   EXPECT_FALSE(R.StaubWon);
   Term X = P.M.lookupVariable("x");
@@ -337,7 +343,8 @@ TEST(PortfolioRacingTest, StaubWinStrictlyBeatsOriginalLane) {
 
   StaubOptions Options;
   Options.Solve.TimeoutSeconds = 60.0;
-  PortfolioResult R = runPortfolioRacing(M, Unboxed, *Backend, Options);
+  PortfolioResult R =
+      runPortfolio(M, Unboxed, *Backend, Options, LanePolicy::Racing);
 
   EXPECT_EQ(R.Status, SolveStatus::Sat);
   EXPECT_TRUE(R.StaubWon);
@@ -358,7 +365,8 @@ TEST(PortfolioRacingTest, WinnerCancelsLosingLane) {
   StaubOptions Options;
   Options.Solve.TimeoutSeconds = 60.0;
   WallTimer Timer;
-  PortfolioResult R = runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                   LanePolicy::Racing);
   EXPECT_EQ(R.Status, SolveStatus::Unsat);
   // Far from the 60s timeout: both lanes settle instantly, so anything
   // near the timeout means the winner failed to cancel the loser.
@@ -381,7 +389,8 @@ TEST(PortfolioRacingTest, HonorsCallerCancellation) {
   Options.Solve.TimeoutSeconds = 3.0;
   Options.Solve.Cancel = &Caller;
   WallTimer Timer;
-  PortfolioResult R = runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
+  PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                   LanePolicy::Racing);
   EXPECT_EQ(R.Status, SolveStatus::Unknown);
   EXPECT_LT(Timer.elapsedSeconds(), 1.0);
 }
@@ -403,9 +412,83 @@ TEST(PortfolioRacingStress, RepeatedRacesAreClean) {
       parseInto(P, Text);
       StaubOptions Options;
       Options.Solve.TimeoutSeconds = 10.0;
-      PortfolioResult R =
-          runPortfolioRacing(P.M, P.Assertions, *Backend, Options);
+      PortfolioResult R = runPortfolio(P.M, P.Assertions, *Backend, Options,
+                                       LanePolicy::Racing);
       EXPECT_NE(R.Status, SolveStatus::Unknown) << Text;
+    }
+  }
+}
+
+//===--------------------------------------------------------------------===//
+// Lane schedules per policy.
+//===--------------------------------------------------------------------===//
+
+/// Wraps MiniSMT and counts the solve() calls on one exact assertion
+/// vector, the original constraint: the bounded solves inside runStaub
+/// pass the translated assertions instead.
+class CountingBackend : public SolverBackend {
+public:
+  explicit CountingBackend(std::vector<Term> Original)
+      : Inner(createMiniSmtSolver()), Original(std::move(Original)) {}
+
+  SolveResult solve(TermManager &Manager, const std::vector<Term> &Assertions,
+                    const SolverOptions &Options) override {
+    if (Assertions == Original)
+      ++OriginalSolves;
+    return Inner->solve(Manager, Assertions, Options);
+  }
+  std::string_view name() const override { return Inner->name(); }
+  bool supportsIncrementalBv() const override {
+    return Inner->supportsIncrementalBv();
+  }
+  std::unique_ptr<IncrementalBvSession>
+  openIncrementalBv(const TermManager &Manager) override {
+    return Inner->openIncrementalBv(Manager);
+  }
+
+  unsigned OriginalSolves = 0;
+
+private:
+  std::unique_ptr<SolverBackend> Inner;
+  std::vector<Term> Original;
+};
+
+TEST(PortfolioPolicyTest, SequentialSolvesOriginalOnlyAfterRevert) {
+  struct Case {
+    const char *Name;
+    const char *Text;
+    std::optional<unsigned> FixedWidth;
+    bool Presolve;
+    bool Decisive;
+  };
+  const Case Cases[] = {
+      // The STAUB lane verifies a model: no fallback under Sequential.
+      {"decisive", "(declare-fun x () Int)(assert (= (* x x) 49))",
+       std::nullopt, true, true},
+      // 4 bits cannot express 1000, so the STAUB lane reverts
+      // (IntModelRemapRoundTrips' case).
+      {"revert", "(declare-fun x () Int)(assert (= x 1000))", 4u, false,
+       false},
+  };
+  for (const Case &C : Cases) {
+    for (LanePolicy Policy : {LanePolicy::Sequential, LanePolicy::Measured}) {
+      ParsedConstraint P;
+      parseInto(P, C.Text);
+      CountingBackend Backend(P.Assertions);
+      StaubOptions Options;
+      Options.FixedWidth = C.FixedWidth;
+      Options.Presolve = C.Presolve;
+      Options.Solve.TimeoutSeconds = 20.0;
+      PortfolioResult R =
+          runPortfolio(P.M, P.Assertions, Backend, Options, Policy);
+      bool Sequential = Policy == LanePolicy::Sequential;
+      EXPECT_EQ(R.Status, SolveStatus::Sat) << C.Name;
+      EXPECT_EQ(R.StaubWon, C.Decisive) << C.Name;
+      EXPECT_EQ(Backend.OriginalSolves, Sequential && C.Decisive ? 0u : 1u)
+          << C.Name << (Sequential ? " sequential" : " measured");
+      // A sat answer carries its model whichever lane supplied it.
+      EXPECT_TRUE(evaluatesToTrue(P.M, P.M.mkAnd(P.Assertions), R.TheModel))
+          << C.Name;
     }
   }
 }
@@ -462,22 +545,23 @@ TEST(ParallelHarnessTest, MatchesSequentialMeasurements) {
   auto Suite = buildEasySuite(M);
 
   auto Backend = createMiniSmtSolver();
-  EvalOptions Options;
-  Options.TimeoutSeconds = 30.0;
+  const double Timeout = 30.0;
 
-  auto Sequential = evaluateSuite(M, Suite, *Backend, Options);
-  auto Parallel = evaluateSuiteParallel(M, Suite, *Backend, Options, 4);
+  auto Sequential =
+      evaluateSuite(M, Suite, *Backend, Timeout, {EvalConfig()})[0];
+  auto Parallel =
+      evaluateSuite(M, Suite, *Backend, Timeout, {EvalConfig()}, 4)[0];
 
   ASSERT_EQ(Parallel.size(), Sequential.size());
   for (size_t I = 0; I < Sequential.size(); ++I) {
     EXPECT_EQ(Parallel[I].Name, Sequential[I].Name);
     EXPECT_EQ(Parallel[I].OriginalStatus, Sequential[I].OriginalStatus);
-    EXPECT_EQ(Parallel[I].Path, Sequential[I].Path);
-    EXPECT_EQ(Parallel[I].ChosenWidth, Sequential[I].ChosenWidth);
+    EXPECT_EQ(Parallel[I].Staub.Path, Sequential[I].Staub.Path);
+    EXPECT_EQ(Parallel[I].Staub.ChosenWidth, Sequential[I].Staub.ChosenWidth);
   }
   // Count-type aggregates are identical; only timings may differ.
-  EvalSummary SeqSummary = summarize(Sequential, Options.TimeoutSeconds);
-  EvalSummary ParSummary = summarize(Parallel, Options.TimeoutSeconds);
+  EvalSummary SeqSummary = summarize(Sequential, Timeout);
+  EvalSummary ParSummary = summarize(Parallel, Timeout);
   EXPECT_EQ(ParSummary.Count, SeqSummary.Count);
   EXPECT_EQ(ParSummary.VerifiedCases, SeqSummary.VerifiedCases);
   EXPECT_EQ(ParSummary.Tractability, SeqSummary.Tractability);
@@ -494,9 +578,8 @@ TEST(ParallelHarnessTest, ConfigsMatchSequential) {
   Configs[1].Label = "fixed-8";
   Configs[1].Staub.FixedWidth = 8;
 
-  auto Sequential = evaluateSuiteConfigs(M, Suite, *Backend, 30.0, Configs);
-  auto Parallel =
-      evaluateSuiteConfigsParallel(M, Suite, *Backend, 30.0, Configs, 3);
+  auto Sequential = evaluateSuite(M, Suite, *Backend, 30.0, Configs);
+  auto Parallel = evaluateSuite(M, Suite, *Backend, 30.0, Configs, 3);
 
   ASSERT_EQ(Parallel.size(), Sequential.size());
   for (size_t Cfg = 0; Cfg < Sequential.size(); ++Cfg) {
@@ -505,8 +588,9 @@ TEST(ParallelHarnessTest, ConfigsMatchSequential) {
       EXPECT_EQ(Parallel[Cfg][I].Name, Sequential[Cfg][I].Name);
       EXPECT_EQ(Parallel[Cfg][I].OriginalStatus,
                 Sequential[Cfg][I].OriginalStatus);
-      EXPECT_EQ(Parallel[Cfg][I].Path, Sequential[Cfg][I].Path);
-      EXPECT_EQ(Parallel[Cfg][I].ChosenWidth, Sequential[Cfg][I].ChosenWidth);
+      EXPECT_EQ(Parallel[Cfg][I].Staub.Path, Sequential[Cfg][I].Staub.Path);
+      EXPECT_EQ(Parallel[Cfg][I].Staub.ChosenWidth,
+                Sequential[Cfg][I].Staub.ChosenWidth);
     }
   }
 }
@@ -521,14 +605,15 @@ TEST(ParallelHarnessTest, ScalesOnMulticoreHardware) {
   Config.Count = 12;
   auto Suite = generateSuite(M, BenchLogic::QF_LIA, Config);
   auto Backend = createMiniSmtSolver();
-  EvalOptions Options;
-  Options.TimeoutSeconds = 2.0;
+  const double Timeout = 2.0;
 
   WallTimer SeqTimer;
-  auto Sequential = evaluateSuite(M, Suite, *Backend, Options);
+  auto Sequential =
+      evaluateSuite(M, Suite, *Backend, Timeout, {EvalConfig()})[0];
   double SeqSeconds = SeqTimer.elapsedSeconds();
   WallTimer ParTimer;
-  auto Parallel = evaluateSuiteParallel(M, Suite, *Backend, Options, 4);
+  auto Parallel =
+      evaluateSuite(M, Suite, *Backend, Timeout, {EvalConfig()}, 4)[0];
   double ParSeconds = ParTimer.elapsedSeconds();
 
   ASSERT_EQ(Parallel.size(), Sequential.size());

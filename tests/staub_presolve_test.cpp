@@ -239,10 +239,9 @@ TEST(PresolveSuiteTest, StaticSuiteMostlyDecidedWithoutSolver) {
   Config.Count = 40;
   auto Suite = generateStaticSuite(M, Config);
   auto Backend = createMiniSmtSolver();
-  EvalOptions Options;
-  Options.TimeoutSeconds = 2.0;
-  auto Records = evaluateSuite(M, Suite, *Backend, Options);
-  EvalSummary S = summarize(Records, Options.TimeoutSeconds);
+  const double Timeout = 2.0;
+  auto Records = evaluateSuite(M, Suite, *Backend, Timeout, {EvalConfig()})[0];
+  EvalSummary S = summarize(Records, Timeout);
   ASSERT_EQ(S.Count, 40u);
   // Acceptance floor: >= 30% decided by the presolver alone. The suite
   // mixes ~2/3 statically decidable families with factoring, so passing
@@ -252,7 +251,7 @@ TEST(PresolveSuiteTest, StaticSuiteMostlyDecidedWithoutSolver) {
   // Statically decided means statically decided: no solve time at all.
   for (const EvalRecord &R : Records)
     if (R.presolveDecided()) {
-      EXPECT_EQ(R.TPost, 0.0) << R.Name;
+      EXPECT_EQ(R.Staub.SolveSeconds, 0.0) << R.Name;
     }
 }
 
@@ -268,14 +267,14 @@ TEST(PresolveSuiteTest, MeanInferredWidthDropsOnBoxedSatSuite) {
   Configs[0].Label = "no-presolve";
   Configs[0].Staub.Presolve = false;
   Configs[1].Label = "presolve";
-  auto All = evaluateSuiteConfigs(M, Suite, *Backend, 2.0, Configs);
+  auto All = evaluateSuite(M, Suite, *Backend, 2.0, Configs);
 
   unsigned long W0 = 0, W1 = 0, BitsSaved = 0;
   for (const EvalRecord &R : All[0])
-    W0 += R.ChosenWidth;
+    W0 += R.Staub.ChosenWidth;
   for (const EvalRecord &R : All[1]) {
-    W1 += R.ChosenWidth;
-    BitsSaved += R.Presolve.WidthBitsSaved;
+    W1 += R.Staub.ChosenWidth;
+    BitsSaved += R.Staub.Presolve.WidthBitsSaved;
   }
   // Presolve never picks a worse width (substitution is gated on it),
   // and on boxed suites it must actually save bits somewhere.

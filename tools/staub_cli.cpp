@@ -16,7 +16,9 @@
 ///   staub [options] [file.smt2]        (stdin when no file)
 /// Options:
 ///   --solver=z3|minismt   backend (default z3)
-///   --portfolio           race STAUB against the plain solver (2 threads)
+///   --portfolio           run STAUB and the plain solver as a portfolio
+///                         (raced on 2 threads); without it the plain
+///                         solver runs only when STAUB cannot decide
 ///   --fixed-width=N       skip inference; use an N-bit translation
 ///   --root-width          use the abstract interpretation root width
 ///   --emit-bounded        print the transformed constraint, do not solve
@@ -32,7 +34,14 @@
 ///                         in presolve, width refinement, and guard
 ///                         elision (docs/ANALYSIS.md)
 ///   --stats               print timing decomposition + presolve,
-///                         escalation, and relational counters
+///                         escalation, relational, and per-lane counters
+///
+/// Prints the status (sat/unsat/unknown) on stdout, followed by one
+/// `; var = value` line per declared variable when sat.
+/// Exit codes:
+///   0  sat or unsat (and a clean --lint, or --emit-bounded)
+///   1  unknown, or lint errors under --lint
+///   2  usage, parse, or translation errors
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,7 +84,8 @@ void printUsage() {
       "usage: staub [--solver=z3|minismt] [--portfolio] [--fixed-width=N]\n"
       "             [--root-width] [--emit-bounded] [--lint] [--timeout=S]\n"
       "             [--jobs=N] [--no-presolve] [--no-escalate]\n"
-      "             [--no-relational] [--stats] [file.smt2]\n");
+      "             [--no-relational] [--stats] [file.smt2]\n"
+      "exit: 0 sat/unsat, 1 unknown, 2 usage/parse/translation error\n");
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
@@ -232,45 +242,24 @@ int main(int Argc, char **Argv) {
                                                ? createZ3Solver()
                                                : createMiniSmtSolver();
 
-  if (Cli.Portfolio) {
-    // --jobs=1 runs both lanes sequentially on this thread (the measured
-    // portfolio); >=2 races them with cooperative cancellation.
-    PortfolioResult R =
-        Cli.Jobs <= 1
-            ? runPortfolioMeasured(Manager, Assertions, *Backend, Options)
-            : runPortfolioRacing(Manager, Assertions, *Backend, Options);
-    std::printf("%s\n", std::string(toString(R.Status)).c_str());
-    if (Cli.Stats)
-      std::fprintf(stderr,
-                   "; portfolio=%.4fs original=%.4fs staub=%.4fs winner=%s\n",
-                   R.PortfolioSeconds, R.OriginalSeconds, R.StaubSeconds,
-                   R.StaubWon ? "staub" : "original");
-    return R.Status == SolveStatus::Unknown ? 1 : 0;
-  }
-
-  StaubOutcome Outcome = runStaub(Manager, Assertions, *Backend, Options);
-  if (Outcome.Path == StaubPath::VerifiedSat ||
-      Outcome.Path == StaubPath::EscalatedSat ||
-      Outcome.Path == StaubPath::PresolvedSat) {
-    std::printf("sat\n");
-    for (Term Var : Parsed.Parsed.Variables) {
-      const Value *V = Outcome.VerifiedModel.get(Var);
-      if (V)
-        std::printf("; %s = %s\n", Manager.variableName(Var).c_str(),
-                    V->toString().c_str());
-    }
-  } else if (Outcome.Path == StaubPath::PresolvedUnsat) {
-    // Decided on the exact unbounded semantics: unlike BoundedUnsat, no
-    // revert is needed. The certificate is available via staub-lint.
-    std::printf("unsat\n");
-  } else {
-    // Underapproximation cannot conclude: report and revert to the
-    // original constraint.
-    std::fprintf(stderr, "; staub lane: %s — solving original\n",
+  // Without --portfolio the original lane runs only as a fallback;
+  // --jobs=1 runs both lanes back to back on this thread, >=2 races them
+  // with cooperative cancellation.
+  LanePolicy Policy = !Cli.Portfolio   ? LanePolicy::Sequential
+                      : Cli.Jobs <= 1 ? LanePolicy::Measured
+                                      : LanePolicy::Racing;
+  PortfolioResult R =
+      runPortfolio(Manager, Assertions, *Backend, Options, Policy);
+  const StaubOutcome &Outcome = R.Staub;
+  // Underapproximation cannot conclude: the original constraint answers.
+  if (!R.StaubWon)
+    std::fprintf(stderr, "; staub lane: %s — reverted to the original\n",
                  std::string(toString(Outcome.Path)).c_str());
-    SolveResult R = Backend->solve(Manager, Assertions, Options.Solve);
-    std::printf("%s\n", std::string(toString(R.Status)).c_str());
-  }
+  std::printf("%s\n", std::string(toString(R.Status)).c_str());
+  for (Term Var : Parsed.Parsed.Variables)
+    if (const Value *V = R.TheModel.get(Var))
+      std::printf("; %s = %s\n", Manager.variableName(Var).c_str(),
+                  V->toString().c_str());
   if (Cli.Stats) {
     if (Outcome.ChosenWidth)
       std::fprintf(stderr, "; width=%u", Outcome.ChosenWidth);
@@ -297,6 +286,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "; relational zone_facts=%u relational_guards_elided=%u\n",
                  Outcome.ZoneFactsHarvested, Outcome.RelationalGuardsElided);
+    std::fprintf(stderr,
+                 "; portfolio=%.4fs original=%.4fs staub=%.4fs winner=%s\n",
+                 R.PortfolioSeconds, R.OriginalSeconds, R.StaubSeconds,
+                 R.StaubWon ? "staub" : "original");
   }
-  return 0;
+  return R.Status == SolveStatus::Unknown ? 1 : 0;
 }
