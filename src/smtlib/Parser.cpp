@@ -397,6 +397,16 @@ Term ParserImpl::applyOperator(const std::string &Name, size_t Line) {
     break;
   case Kind::BvConcat:
     break; // Operand widths legitimately differ.
+  case Kind::BvAdd:
+  case Kind::BvSub:
+  case Kind::BvMul:
+  case Kind::BvAnd:
+  case Kind::BvOr:
+  case Kind::BvXor:
+    // The manager keeps these n-ary; consumers fold from the first pair.
+    if (!SortsMatch(Args.size() >= 2, "takes at least two operands"))
+      return Term();
+    [[fallthrough]];
   default:
     for (size_t I = 1; I < Args.size(); ++I)
       if (!SortsMatch(Manager.sort(Args[I]) == Manager.sort(Args[0]),

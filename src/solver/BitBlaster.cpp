@@ -124,15 +124,20 @@ BitBlaster::Word BitBlaster::addWords(const Word &A, const Word &B, Lit CarryIn,
   return Sum;
 }
 
-BitBlaster::Word BitBlaster::negWord(const Word &A) {
+BitBlaster::Word BitBlaster::notWord(const Word &A) {
   Word Flipped(A.size());
   for (size_t I = 0; I < A.size(); ++I)
     Flipped[I] = ~A[I];
-  Word Zero(A.size(), falseLit());
-  return addWords(Flipped, Zero, TrueLit, nullptr);
+  return Flipped;
 }
 
-BitBlaster::Word BitBlaster::mulWords(const Word &A, const Word &B) {
+BitBlaster::Word BitBlaster::negWord(const Word &A) {
+  Word Zero(A.size(), falseLit());
+  return addWords(notWord(A), Zero, TrueLit, nullptr);
+}
+
+BitBlaster::Word BitBlaster::mulWords(const Word &A, const Word &B,
+                                      Word *RowCarries) {
   assert(A.size() == B.size() && "multiplier width mismatch");
   size_t Width = A.size();
   Word Acc(Width, falseLit());
@@ -141,9 +146,57 @@ BitBlaster::Word BitBlaster::mulWords(const Word &A, const Word &B) {
     Word Partial(Width, falseLit());
     for (size_t J = I; J < Width; ++J)
       Partial[J] = mkAnd(A[I], B[J - I]);
-    Acc = addWords(Acc, Partial, falseLit(), nullptr);
+    Lit Carry = falseLit();
+    Acc = addWords(Acc, Partial, falseLit(), &Carry);
+    if (RowCarries)
+      RowCarries->push_back(Carry);
   }
   return Acc;
+}
+
+BitBlaster::Word BitBlaster::arithWords(Kind OpKind, const Word &A,
+                                        const Word &B, Word *RowCarries) {
+  switch (OpKind) {
+  case Kind::BvAdd:
+    return addWords(A, B, falseLit(), nullptr);
+  case Kind::BvSub:
+    return addWords(A, notWord(B), TrueLit, nullptr);
+  default:
+    assert(OpKind == Kind::BvMul && "not a guarded operation");
+    return mulWords(A, B, RowCarries);
+  }
+}
+
+const BitBlaster::GuardedCircuit &
+BitBlaster::guardedCircuit(Kind OpKind, Term TA, Term TB, const Word &A,
+                           const Word &B) {
+  auto [It, Inserted] = GuardedCache.try_emplace({OpKind, TA.id(), TB.id()});
+  if (Inserted)
+    It->second.Result = arithWords(OpKind, A, B, &It->second.RowCarries);
+  return It->second;
+}
+
+Lit BitBlaster::mulOverflow(const Word &A, const Word &B,
+                            const GuardedCircuit &Product) {
+  size_t Width = A.size();
+  // Bit W of the (W+1)-bit product of the sign-extended operands: column
+  // W's partial products plus the carries the W-bit rows dropped there.
+  Word ExtA = sextWord(A, Width + 1), ExtB = sextWord(B, Width + 1);
+  Lit BitW = falseLit();
+  for (size_t I = 0; I <= Width; ++I)
+    BitW = mkXor(BitW, mkAnd(ExtA[I], ExtB[Width - I]));
+  for (Lit Carry : Product.RowCarries)
+    BitW = mkXor(BitW, Carry);
+  std::vector<Lit> Overflow = {mkXor(BitW, Product.Result.back())};
+  // k(a) + k(b) >= W+1 iff some magnitude bit a[J] is set (differs from
+  // the sign) together with one of b at or above W-1-J, for J in [1, W-2].
+  Lit SignA = A.back(), SignB = B.back();
+  Lit BAtOrAbove = falseLit();
+  for (size_t J = 1; J + 1 < Width; ++J) {
+    BAtOrAbove = mkOr(BAtOrAbove, mkXor(B[Width - 1 - J], SignB));
+    Overflow.push_back(mkAnd(mkXor(A[J], SignA), BAtOrAbove));
+  }
+  return mkOrMany(Overflow);
 }
 
 Lit BitBlaster::equalWords(const Word &A, const Word &B) {
@@ -157,11 +210,8 @@ Lit BitBlaster::equalWords(const Word &A, const Word &B) {
 
 Lit BitBlaster::ultWords(const Word &A, const Word &B) {
   // A < B iff the subtraction A - B borrows, i.e. A + ~B + 1 has no carry.
-  Word Flipped(B.size());
-  for (size_t I = 0; I < B.size(); ++I)
-    Flipped[I] = ~B[I];
   Lit Carry = falseLit();
-  addWords(A, Flipped, TrueLit, &Carry);
+  addWords(A, notWord(B), TrueLit, &Carry);
   return ~Carry;
 }
 
@@ -204,10 +254,7 @@ BitBlaster::Word BitBlaster::udivWords(const Word &A, const Word &B,
       Shifted[J] = Remainder[J - 1];
     Shifted[0] = A[I];
     Lit GreaterEq = ~ultWords(Shifted, B);
-    Word Flipped(Width);
-    for (size_t J = 0; J < Width; ++J)
-      Flipped[J] = ~B[J];
-    Word Subtracted = addWords(Shifted, Flipped, TrueLit, nullptr);
+    Word Subtracted = addWords(Shifted, notWord(B), TrueLit, nullptr);
     Remainder = muxWord(GreaterEq, Subtracted, Shifted);
     Quotient[I] = GreaterEq;
   }
@@ -245,7 +292,7 @@ BitBlaster::Word BitBlaster::shiftWord(const Word &A, const Word &Amount,
   // saturates to the fill value.
   std::vector<Lit> HighBits;
   for (size_t Stage = 0; Stage < Amount.size(); ++Stage)
-    if ((size_t(1) << Stage) >= Width || Stage >= 63)
+    if (Stage >= 63 || (size_t(1) << Stage) >= Width)
       HighBits.push_back(Amount[Stage]);
   if (!HighBits.empty()) {
     Lit Oversize = mkOrMany(HighBits);
@@ -298,13 +345,9 @@ BitBlaster::Word BitBlaster::encodeBv(Term T) {
       Result[I] = fresh();
     break;
   }
-  case Kind::BvNot: {
-    Word A = encodeBv(Manager.child(T, 0));
-    Result.resize(Width);
-    for (unsigned I = 0; I < Width; ++I)
-      Result[I] = ~A[I];
+  case Kind::BvNot:
+    Result = notWord(encodeBv(Manager.child(T, 0)));
     break;
-  }
   case Kind::BvNeg:
     Result = negWord(encodeBv(Manager.child(T, 0)));
     break;
@@ -321,28 +364,16 @@ BitBlaster::Word BitBlaster::encodeBv(Term T) {
     }
     break;
   }
-  case Kind::BvAdd: {
-    Result = encodeBv(Manager.child(T, 0));
-    for (unsigned C = 1; C < Manager.numChildren(T); ++C)
-      Result = addWords(Result, encodeBv(Manager.child(T, C)), falseLit(),
-                        nullptr);
-    break;
-  }
-  case Kind::BvSub: {
-    Result = encodeBv(Manager.child(T, 0));
-    for (unsigned C = 1; C < Manager.numChildren(T); ++C) {
-      Word B = encodeBv(Manager.child(T, C));
-      Word Flipped(B.size());
-      for (size_t I = 0; I < B.size(); ++I)
-        Flipped[I] = ~B[I];
-      Result = addWords(Result, Flipped, TrueLit, nullptr);
-    }
-    break;
-  }
+  case Kind::BvAdd:
+  case Kind::BvSub:
   case Kind::BvMul: {
-    Result = encodeBv(Manager.child(T, 0));
-    for (unsigned C = 1; C < Manager.numChildren(T); ++C)
-      Result = mulWords(Result, encodeBv(Manager.child(T, C)));
+    // Left fold; the first pair is the one an overflow guard can share.
+    Term First = Manager.child(T, 0), Second = Manager.child(T, 1);
+    Word A = encodeBv(First);
+    Word B = encodeBv(Second);
+    Result = guardedCircuit(K, First, Second, A, B).Result;
+    for (unsigned C = 2; C < Manager.numChildren(T); ++C)
+      Result = arithWords(K, Result, encodeBv(Manager.child(T, C)), nullptr);
     break;
   }
   case Kind::BvUDiv:
@@ -541,37 +572,25 @@ Lit BitBlaster::encodeBool(Term T) {
     break;
   }
   case Kind::BvSAddO:
-  case Kind::BvSSubO: {
-    Word A = encodeBv(Manager.child(T, 0));
-    Word B = encodeBv(Manager.child(T, 1));
-    unsigned Wide = static_cast<unsigned>(A.size()) + 1;
-    Word ExtA = sextWord(A, Wide);
-    Word ExtB = sextWord(B, Wide);
-    Word Sum;
-    if (K == Kind::BvSAddO) {
-      Sum = addWords(ExtA, ExtB, falseLit(), nullptr);
-    } else {
-      Word Flipped(ExtB.size());
-      for (size_t I = 0; I < ExtB.size(); ++I)
-        Flipped[I] = ~ExtB[I];
-      Sum = addWords(ExtA, Flipped, TrueLit, nullptr);
-    }
-    // Overflow iff the top two bits of the widened result disagree.
-    Result = mkXor(Sum[Wide - 1], Sum[Wide - 2]);
-    break;
-  }
+  case Kind::BvSSubO:
   case Kind::BvSMulO: {
-    Word A = encodeBv(Manager.child(T, 0));
-    Word B = encodeBv(Manager.child(T, 1));
-    unsigned Width = static_cast<unsigned>(A.size());
-    unsigned Wide = 2 * Width;
-    Word Product = mulWords(sextWord(A, Wide), sextWord(B, Wide));
-    // Fits iff bits [Width-1 .. 2*Width-1] are all equal (sign extension).
-    std::vector<Lit> SameAsSign;
-    Lit Sign = Product[Width - 1];
-    for (unsigned I = Width; I < Wide; ++I)
-      SameAsSign.push_back(~mkXor(Product[I], Sign));
-    Result = ~mkAndMany(SameAsSign);
+    Term First = Manager.child(T, 0), Second = Manager.child(T, 1);
+    Word A = encodeBv(First);
+    Word B = encodeBv(Second);
+    Kind OpKind = K == Kind::BvSAddO   ? Kind::BvAdd
+                  : K == Kind::BvSSubO ? Kind::BvSub
+                                       : Kind::BvMul;
+    const GuardedCircuit &Op = guardedCircuit(OpKind, First, Second, A, B);
+    if (K == Kind::BvSMulO) {
+      Result = mulOverflow(A, B, Op);
+      break;
+    }
+    // Overflow iff the operands' effective signs agree (the subtrahend's
+    // is flipped) and the result's sign differs from theirs.
+    Lit SignA = A.back();
+    Lit SignsDiffer = mkXor(SignA, B.back());
+    Lit SameSign = K == Kind::BvSAddO ? ~SignsDiffer : SignsDiffer;
+    Result = mkAnd(SameSign, mkXor(Op.Result.back(), SignA));
     break;
   }
   case Kind::BvSDivO: {

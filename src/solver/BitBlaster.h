@@ -12,6 +12,23 @@
 /// restoring dividers, barrel shifters, and mux trees. Encoded nodes are
 /// memoized over the term DAG.
 ///
+/// The overflow guards add O(1) or O(W) gates to the operation they guard:
+/// - `bvsaddo`/`bvssubo` are an O(1) sign test on the sum: the operands'
+///   effective signs agree (the subtrahend's is flipped) and the sum's
+///   sign differs from them.
+/// - `bvsmulo` is the O(W) test of Gök, Schulte and Balzola ("Efficient
+///   integer multiplication overflow detection circuits", ARITH 2001).
+///   With k(x) the number of x's magnitude bits (W-1 minus its redundant
+///   sign bits), a*b overflows when k(a)+k(b) >= W+1, and otherwise iff
+///   bits W and W-1 of the (W+1)-bit product differ. Bit W is column W's
+///   partial products XOR every multiplier row's carry out of column W-1.
+///
+/// Reuse invariant: a guard and the operation it guards share the ordered
+/// operand pair (`Transform.cpp::foldGuarded` and `WidthReduction.cpp`
+/// emit them so). The sum or product, and the multiplier's row carries,
+/// are blasted once per (operation, operands) key, by whichever of the two
+/// is encoded first; the other reads them back.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAUB_SOLVER_BITBLASTER_H
@@ -21,6 +38,8 @@
 #include "solver/Sat.h"
 #include "theory/Evaluator.h"
 
+#include <map>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -46,13 +65,24 @@ public:
   uint64_t cacheHits() const { return CacheHits; }
 
 private:
+  // Word-level values are LSB-first literal vectors.
+  using Word = std::vector<Lit>;
+
+  /// A binary bvadd, bvsub or bvmul as its overflow guard needs it.
+  struct GuardedCircuit {
+    Word Result;
+    Word RowCarries; ///< bvmul only: each row's carry out of column W-1.
+  };
+
   const TermManager &Manager;
   SatSolver &Solver;
   Lit TrueLit;
   uint64_t CacheHits = 0;
 
   std::unordered_map<uint32_t, Lit> BoolCache;
-  std::unordered_map<uint32_t, std::vector<Lit>> BvCache;
+  std::unordered_map<uint32_t, Word> BvCache;
+  /// Keyed on (operation kind, first operand id, second operand id).
+  std::map<std::tuple<Kind, uint32_t, uint32_t>, GuardedCircuit> GuardedCache;
 
   Lit falseLit() const { return ~TrueLit; }
   Lit fresh();
@@ -66,12 +96,18 @@ private:
   Lit mkAndMany(const std::vector<Lit> &Inputs);
   Lit mkOrMany(const std::vector<Lit> &Inputs);
 
-  // Word-level helpers over LSB-first literal vectors.
-  using Word = std::vector<Lit>;
   Word encodeBv(Term T);
+  /// The circuit of \p OpKind over the operand terms (\p TA, \p TB) with
+  /// encodings \p A and \p B, blasted on first use.
+  const GuardedCircuit &guardedCircuit(Kind OpKind, Term TA, Term TB,
+                                       const Word &A, const Word &B);
+  /// A + B, A - B or A * B for \p OpKind BvAdd, BvSub or BvMul.
+  Word arithWords(Kind OpKind, const Word &A, const Word &B,
+                  Word *RowCarries);
   Word addWords(const Word &A, const Word &B, Lit CarryIn, Lit *CarryOut);
+  Word notWord(const Word &A);
   Word negWord(const Word &A);
-  Word mulWords(const Word &A, const Word &B);
+  Word mulWords(const Word &A, const Word &B, Word *RowCarries);
   Word udivWords(const Word &A, const Word &B, Word *Remainder);
   Word shiftWord(const Word &A, const Word &Amount, Kind ShiftKind);
   Word muxWord(Lit Cond, const Word &Then, const Word &Else);
@@ -79,6 +115,8 @@ private:
   Lit ultWords(const Word &A, const Word &B); ///< A < B unsigned.
   Lit sltWords(const Word &A, const Word &B); ///< A < B signed.
   Lit isZero(const Word &A);
+  /// bvsmulo(A, B), given \p Product, the multiplier of A and B.
+  Lit mulOverflow(const Word &A, const Word &B, const GuardedCircuit &Product);
   Word sextWord(const Word &A, unsigned NewWidth);
   Word zextWord(const Word &A, unsigned NewWidth);
 };

@@ -70,6 +70,18 @@ TEST(ParserEdgeTest, EmptyInputAndWhitespaceOnly) {
   EXPECT_TRUE(parseSmtLib(M, "  ; only a comment\n").Ok);
 }
 
+TEST(ParserEdgeTest, NaryBvOpsNeedTwoOperands) {
+  for (const char *Op : {"bvadd", "bvsub", "bvmul", "bvand", "bvor", "bvxor"}) {
+    TermManager M;
+    auto R = parseSmtLib(M, std::string("(declare-fun x () (_ BitVec 8))"
+                                        "(assert (= (") +
+                                Op + " x) x))");
+    EXPECT_FALSE(R.Ok) << Op;
+    EXPECT_NE(R.Error.find("at least two operands"), std::string::npos)
+        << R.Error;
+  }
+}
+
 TEST(ParserEdgeTest, LargeNumerals) {
   TermManager M;
   auto R = parseSmtLib(

@@ -7,6 +7,8 @@
 #include "solver/Solver.h"
 
 #include "smtlib/Parser.h"
+#include "solver/BitBlaster.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -123,6 +125,166 @@ TEST(MiniSmtBvTest, BooleanOnly) {
   EXPECT_EQ(solveText("(declare-fun p () Bool)"
                       "(assert (and p (not p)))"),
             SolveStatus::Unsat);
+}
+
+TEST(MiniSmtBvTest, ShiftWiderThan64Bits) {
+  // Amount bits 64..69 only saturate the result; blasting them must not
+  // shift a 64-bit word by 64 or more.
+  EXPECT_EQ(solveText("(declare-fun x () (_ BitVec 70))"
+                      "(declare-fun s () (_ BitVec 70))"
+                      "(assert (bvugt x (_ bv1000 70)))"
+                      "(assert (= (bvlshr x s) (_ bv1 70)))"),
+            SolveStatus::Sat);
+  EXPECT_EQ(solveText("(declare-fun x () (_ BitVec 70))"
+                      "(declare-fun s () (_ BitVec 70))"
+                      "(assert (bvuge s (_ bv70 70)))"
+                      "(assert (distinct (bvshl x s) (_ bv0 70)))"),
+            SolveStatus::Unsat);
+}
+
+/// An overflow guard and the operation it covers.
+struct GuardedOp {
+  Kind Op;
+  Kind Guard;
+};
+constexpr GuardedOp GuardedOps[] = {{Kind::BvAdd, Kind::BvSAddO},
+                                    {Kind::BvSub, Kind::BvSSubO},
+                                    {Kind::BvMul, Kind::BvSMulO}};
+
+/// Blasts z = Op(x, y) and p = Guard(x, y) with x and y bound to \p A and
+/// \p B, the guard before the operation when \p GuardFirst, and checks the
+/// model against the exact evaluator.
+void expectGuardMatchesEvaluator(GuardedOp G, unsigned Width, int64_t A,
+                                 int64_t B, bool GuardFirst) {
+  TermManager M;
+  Sort S = Sort::bitVec(Width);
+  Term X = M.mkVariable("x", S), Y = M.mkVariable("y", S);
+  Term Z = M.mkVariable("z", S), P = M.mkVariable("p", Sort::boolean());
+  const Term XY[] = {X, Y};
+  Term OpEq = M.mkEq(Z, M.mkApp(G.Op, XY));
+  Term GuardEq = M.mkEq(P, M.mkApp(G.Guard, XY));
+  std::vector<Term> Assertions = {
+      M.mkEq(X, M.mkBitVecConst(BitVecValue(Width, A))),
+      M.mkEq(Y, M.mkBitVecConst(BitVecValue(Width, B))),
+      GuardFirst ? GuardEq : OpEq, GuardFirst ? OpEq : GuardEq};
+  SatSolver Sat;
+  BitBlaster Blaster(M, Sat);
+  for (Term Assertion : Assertions)
+    Blaster.assertTrue(Assertion);
+  ASSERT_EQ(Sat.solve(), SatStatus::Sat);
+  Model Found = Blaster.extractModel({X, Y, Z, P});
+  EXPECT_TRUE(evaluatesToTrue(M, M.mkAnd(Assertions), Found))
+      << kindName(G.Guard) << "(" << A << ", " << B << ") at width "
+      << Width << (GuardFirst ? ", guard first" : ", operation first")
+      << ": p = " << Found.get(P)->toString()
+      << ", z = " << Found.get(Z)->toString();
+}
+
+/// A random signed Width-bit value whose magnitude bit count (Width-1
+/// minus its redundant sign bits) is uniform, so products land near the
+/// overflow boundary as often as far from it.
+int64_t randomSigned(SplitMix64 &Rng, unsigned Width) {
+  unsigned Bits = static_cast<unsigned>(Rng.below(Width));
+  uint64_t Magnitude = 0;
+  if (Bits > 0)
+    Magnitude = (Rng.next() & ((uint64_t(1) << (Bits - 1)) - 1)) |
+                (uint64_t(1) << (Bits - 1));
+  return static_cast<int64_t>(Rng.chance(1, 2) ? ~Magnitude : Magnitude);
+}
+
+TEST(MiniSmtBvTest, OverflowGuardsMatchExactSemantics) {
+  // Every operand pair up to 6 bits, each guard blasted before and after
+  // its operation. Operands are bound by equalities, not constants, so
+  // the circuits do not fold away.
+  for (unsigned Width = 1; Width <= 6; ++Width) {
+    int64_t Lo = -(int64_t(1) << (Width - 1));
+    int64_t Hi = (int64_t(1) << (Width - 1)) - 1;
+    for (GuardedOp G : GuardedOps)
+      for (int64_t A = Lo; A <= Hi; ++A)
+        for (int64_t B = Lo; B <= Hi; ++B)
+          for (bool GuardFirst : {false, true})
+            expectGuardMatchesEvaluator(G, Width, A, B, GuardFirst);
+  }
+  // Wide widths: the signed extremes, both sides of 2^(W-1) as a product
+  // of powers of two, and random pairs.
+  SplitMix64 Rng(17);
+  for (unsigned Width : {16u, 32u, 64u}) {
+    int64_t Min = static_cast<int64_t>(~uint64_t(0) << (Width - 1));
+    int64_t Max = ~Min;
+    int64_t Half = int64_t(1) << (Width / 2);
+    std::vector<std::pair<int64_t, int64_t>> Pairs = {
+        {Min, -1},       {Min, 1},        {Max, Max},      {Max, -1},
+        {Half, Half},    {Half / 2, Half}, {-Half / 2, Half}, {-Half, Half},
+        {Half - 1, Half}, {Min, 0}};
+    for (int I = 0; I < 40; ++I)
+      Pairs.emplace_back(randomSigned(Rng, Width), randomSigned(Rng, Width));
+    for (GuardedOp G : GuardedOps)
+      for (auto [A, B] : Pairs)
+        for (bool GuardFirst : {false, true})
+          expectGuardMatchesEvaluator(G, Width, A, B, GuardFirst);
+  }
+}
+
+TEST(MiniSmtBvTest, OverflowGuardsMatchWideningDefinition) {
+  // Symbolic proofs: each guard disagrees with overflow of the widened
+  // operation on no operand pair. bvsmulo is checked against the product
+  // of the 2W-bit sign extensions, the others against (W+1)-bit ones.
+  auto Solver = createMiniSmtSolver();
+  SolverOptions Options;
+  Options.TimeoutSeconds = 60;
+  for (GuardedOp G : GuardedOps) {
+    unsigned MaxWidth = G.Op == Kind::BvMul ? 8 : 16;
+    for (unsigned Width = 1; Width <= MaxWidth; ++Width) {
+      TermManager M;
+      Sort S = Sort::bitVec(Width);
+      Term X = M.mkVariable("x", S), Y = M.mkVariable("y", S);
+      const Term XY[] = {X, Y};
+      unsigned Extra = G.Op == Kind::BvMul ? Width : 1;
+      const Term Wide[] = {M.mkBvSignExtend(Extra, X),
+                           M.mkBvSignExtend(Extra, Y)};
+      Term Exact = M.mkApp(G.Op, Wide);
+      Term Fits = M.mkEq(
+          Exact, M.mkBvSignExtend(Extra, M.mkBvExtract(Width - 1, 0, Exact)));
+      std::vector<Term> Assertions = {
+          M.mkEq(M.mkVariable("z", S), M.mkApp(G.Op, XY)),
+          M.mkEq(M.mkApp(G.Guard, XY), Fits)};
+      SolveResult R = Solver->solve(M, Assertions, Options);
+      EXPECT_EQ(R.Status, SolveStatus::Unsat)
+          << kindName(G.Guard) << " at width " << Width;
+    }
+  }
+}
+
+/// SAT variables after blasting \p Assertions in order.
+unsigned blastedVars(TermManager &M, const std::vector<Term> &Assertions) {
+  SatSolver Sat;
+  BitBlaster Blaster(M, Sat);
+  for (Term Assertion : Assertions)
+    Blaster.assertTrue(Assertion);
+  return Sat.numVars();
+}
+
+TEST(MiniSmtBvTest, GuardReusesGuardedCircuit) {
+  // A guard reads the sum or product of the operation it guards, in
+  // either blast order: bvsmulo adds 7W-7 variables and bvsaddo/bvssubo
+  // three. A multiplier or adder of the guard's own would break both
+  // limits.
+  for (unsigned Width : {8u, 16u, 32u, 64u}) {
+    for (GuardedOp G : GuardedOps) {
+      TermManager M;
+      Sort S = Sort::bitVec(Width);
+      Term X = M.mkVariable("x", S), Y = M.mkVariable("y", S);
+      const Term XY[] = {X, Y};
+      Term OpEq = M.mkEq(M.mkVariable("z", S), M.mkApp(G.Op, XY));
+      Term NoOverflow = M.mkNot(M.mkApp(G.Guard, XY));
+      unsigned Alone = blastedVars(M, {OpEq});
+      unsigned Limit = G.Op == Kind::BvMul ? 8 * Width : 4;
+      EXPECT_LE(blastedVars(M, {OpEq, NoOverflow}), Alone + Limit)
+          << kindName(G.Guard) << " after its operation, width " << Width;
+      EXPECT_LE(blastedVars(M, {NoOverflow, OpEq}), Alone + Limit)
+          << kindName(G.Guard) << " before its operation, width " << Width;
+    }
+  }
 }
 
 //===--------------------------------------------------------------------===//
