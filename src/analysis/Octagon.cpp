@@ -47,46 +47,10 @@ bool Octagon::addFact(const RelFact &F) {
 }
 
 bool Octagon::close() {
-  // The DBM's per-edge provenance stays empty: only the zone's
-  // certificates read it.
-  static const std::set<unsigned> NoSources;
-  Matrix.emplace(unsigned(VarPair.size()) * 2);
+  Matrix.emplace(unsigned(VarPair.size()) * 2, /*TrackSources=*/false);
   for (const PendingBound &B : Bounds)
-    Matrix->tighten(B.I, B.J, B.C, NoSources);
-  if (!Matrix->close())
-    return false;
-  // Strong closure: alternate the octagonal strengthening and the
-  // even-tightening of the doubled unary bounds with plain
-  // Floyd-Warshall. Two rounds lose only precision, never soundness; the
-  // trailing Floyd-Warshall pass restores triangle consistency.
-  unsigned N = Matrix->size();
-  for (unsigned Round = 0; Round < 2; ++Round) {
-    for (unsigned I = 0; I < N; ++I) {
-      const std::optional<Rational> &WI = Matrix->at(I, I ^ 1u);
-      if (!WI)
-        continue;
-      for (unsigned J = 0; J < N; ++J) {
-        if (J == I)
-          continue;
-        const std::optional<Rational> &WJ = Matrix->at(J ^ 1u, J);
-        if (!WJ)
-          continue;
-        Matrix->tighten(I, J, (*WI + *WJ) / Rational(2), NoSources);
-      }
-    }
-    for (unsigned Node = 0; Node < N; ++Node) {
-      const std::optional<Rational> &W = Matrix->at(Node, Node ^ 1u);
-      if (!W)
-        continue;
-      // D(+x, -x) = 2*sup(x) must be an even integer for integral x.
-      Rational Even = Rational((*W / Rational(2)).floor()) * Rational(2);
-      if (Even < *W)
-        Matrix->tighten(Node, Node ^ 1u, Even, NoSources);
-    }
-    if (!Matrix->close())
-      return false;
-  }
-  return true;
+    Matrix->tighten(B.I, B.J, B.C);
+  return Matrix->strongClose();
 }
 
 bool Octagon::consistent() const { return !Matrix || Matrix->consistent(); }
@@ -98,9 +62,9 @@ Interval Octagon::varInterval(uint32_t VarId) const {
     return Interval::bottom();
   unsigned P = posNode(VarId);
   Interval Out;
-  if (const std::optional<Rational> &Hi = Matrix->at(P, P + 1))
+  if (std::optional<Rational> Hi = Matrix->at(P, P + 1))
     Out.Hi = Rational((*Hi / Rational(2)).floor());
-  if (const std::optional<Rational> &Lo = Matrix->at(P + 1, P))
+  if (std::optional<Rational> Lo = Matrix->at(P + 1, P))
     Out.Lo = Rational((-(*Lo / Rational(2))).ceil());
   if (Out.Lo && Out.Hi && *Out.Hi < *Out.Lo)
     return Interval::bottom();
@@ -113,8 +77,7 @@ std::optional<Rational> Octagon::pairUpper(uint32_t X, int SX, uint32_t Y,
     return std::nullopt;
   unsigned NX = posNode(X) + (SX > 0 ? 0 : 1);
   unsigned NYDual = posNode(Y) + (SY > 0 ? 1 : 0);
-  const std::optional<Rational> &W = Matrix->at(NX, NYDual);
-  return W ? std::optional<Rational>(*W) : std::nullopt;
+  return Matrix->at(NX, NYDual);
 }
 
 //===----------------------------------------------------------------------===//

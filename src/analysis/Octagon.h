@@ -11,12 +11,17 @@
 /// DBM entry D(u, v) bounds val(u) - val(v), so every octagon constraint
 /// `sx*x + sy*y <= c` is the edge D(node(x, sx), node(y, -sy)) <= c.
 /// The octagon ranges over integer-valued variables (Int on the original
-/// side, bitvectors on the bounded side). close() runs strong closure:
-/// Floyd-Warshall alternated with the octagonal strengthening step
-/// D(i,j) <= (D(i, bar i) + D(bar j, j))/2 and even-tightening of the
-/// doubled unary bounds, always ending on a plain Floyd-Warshall pass so
-/// the result is triangle-consistent. Unlike the zone, the octagon
-/// records no provenance: no caller reads it.
+/// side, bitvectors on the bounded side). close() runs strong closure
+/// (Dbm::strongClose): Floyd-Warshall alternated with the octagonal
+/// strengthening step D(i,j) <= (D(i, bar i) + D(bar j, j))/2 and
+/// even-tightening of the doubled unary bounds, always ending on a plain
+/// Floyd-Warshall pass so the result is triangle-consistent. It runs on
+/// the DBM's fixed-point kernel in units of 1/4: the integral inputs make
+/// the two halving rounds exact there, and even-tightening rounds a
+/// doubled bound down to a multiple of 8 units. Only octagons past the
+/// kernel's admission bound (width-64 variables, huge constants) close
+/// in Rationals. Unlike the zone, the octagon's matrix stores no
+/// provenance at all: no caller reads it.
 ///
 /// Facts are harvested from assertion atoms in a canonical form
 /// (`RelFact`) that records *which* overflow-capable operation the atom

@@ -83,9 +83,8 @@ Interval Zone::varInterval(uint32_t X) const {
     return Interval::bottom();
   unsigned NX = node(X);
   Interval Out;
-  if (const std::optional<Rational> &Hi = Matrix->at(NX, 0))
-    Out.Hi = *Hi;
-  if (const std::optional<Rational> &Lo = Matrix->at(0, NX))
+  Out.Hi = Matrix->at(NX, 0);
+  if (std::optional<Rational> Lo = Matrix->at(0, NX))
     Out.Lo = -*Lo;
   if (Out.Lo && Out.Hi && *Out.Hi < *Out.Lo)
     return Interval::bottom();
@@ -114,8 +113,8 @@ std::optional<Rational> Zone::potential(uint32_t X) const {
   auto Dist = [&](unsigned I) {
     Rational D(0);
     for (unsigned K = 0; K < Matrix->size(); ++K)
-      if (const std::optional<Rational> &W = Matrix->at(I, K); W && *W < D)
-        D = *W;
+      if (std::optional<Rational> W = Matrix->at(I, K); W && *W < D)
+        D = std::move(*W);
     return D;
   };
   return Dist(node(X)) - Dist(0);

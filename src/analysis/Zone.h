@@ -8,7 +8,10 @@
 /// The zone abstract domain over program variables: conjunctions of
 /// `x - y <= c`, `x <= c`, `x >= c` on one DBM (analysis/Dbm.h) with a
 /// distinguished zero node, harvested from assertion atoms the way the
-/// interval engine harvests range facts. After close():
+/// interval engine harvests range facts. close() runs on the DBM's
+/// fixed-point kernel in units of the lcm of the recorded denominators (1
+/// on Int), with the same relaxations and certificates as a Rational
+/// closure. After close():
 ///
 ///  * consistent() == false is a proof of unsatisfiability, with
 ///    negativeCycleSources() naming the assertions on the cycle (the

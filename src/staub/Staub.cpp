@@ -223,6 +223,7 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   TOpts.ElideGuards = Options.ElideGuards;
   TOpts.Relational = Options.Relational;
   TOpts.Escalate = Options.Escalate;
+  TOpts.Cancel = Options.Solve.Cancel;
   if (*SortKindUsed == SortKind::Int) {
     unsigned Width;
     if (Options.FixedWidth) {

@@ -365,9 +365,13 @@ struct GuardCandidate {
 /// staub-lint's one-pass rule: each elided guard is provable from exactly
 /// the facts whose source operations are still guarded (or classically
 /// safe). Facts sourced from an op whose guard we elide stop being usable,
-/// which is what makes early elisions need revalidation.
+/// which is what makes early elisions need revalidation. A stop on
+/// \p Cancel ends the pass between candidates with the guards elided so
+/// far; every intermediate state of the pass already satisfies that rule,
+/// and keeping a guard is always sound.
 void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
-                     unsigned Width, TransformResult &Result) {
+                     unsigned Width, const CancellationToken *Cancel,
+                     TransformResult &Result) {
   std::vector<analysis::RelFact> Facts =
       analysis::harvestRelationalFacts(Manager, Originals);
   Result.ZoneFactsHarvested = static_cast<unsigned>(Facts.size());
@@ -522,6 +526,8 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
   // nothing new.
   std::vector<size_t> Elided; // Indices into Cands, in elision order.
   for (size_t CI = 0; CI < Cands.size(); ++CI) {
+    if (stopRequested(Cancel))
+      break;
     const GuardCandidate &C = Cands[CI];
     std::vector<char> Next = Kept;
     Next[C.Index] = 0;
@@ -564,7 +570,7 @@ TransformResult staub::transformIntToBv(TermManager &Manager,
   TransformResult Result = Translator.run(Assertions);
   Result.Width = Width;
   if (Result.Ok && Options.ElideGuards && Options.Relational)
-    relationalElide(Manager, Assertions, Width, Result);
+    relationalElide(Manager, Assertions, Width, Options.Cancel, Result);
   return Result;
 }
 

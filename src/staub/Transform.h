@@ -20,6 +20,7 @@
 #define STAUB_STAUB_TRANSFORM_H
 
 #include "smtlib/Term.h"
+#include "support/Cancellation.h"
 #include "theory/Evaluator.h"
 
 #include <string>
@@ -48,6 +49,10 @@ struct TransformOptions {
   /// (incremental width-escalation ladder). Off reproduces the paper's
   /// revert-on-unsat behaviour exactly.
   bool Escalate = true;
+  /// The query's token (not owned; null = never stops). Relational
+  /// elision polls it between candidates and, once it fires, keeps every
+  /// guard it has not yet elided.
+  const CancellationToken *Cancel = nullptr;
 };
 
 /// Result of translating a constraint into a bounded theory.

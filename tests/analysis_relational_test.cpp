@@ -8,8 +8,9 @@
 /// Units for the relational abstract-domain layer (analysis/Dbm.h,
 /// analysis/Zone.h, analysis/Octagon.h): Floyd-Warshall closure and its
 /// negative-cycle unsat certificate, provenance threading, the
-/// bad-closure injection's triangle-consistency signature, widening
-/// termination, zone fact harvesting and transitive projections,
+/// bad-closure injection's triangle-consistency signature, the
+/// fixed-point kernel and every Rational fallback against a test-local
+/// Rational reference, zone fact harvesting and transitive projections,
 /// shortest-path potentials, the octagon's signed-variable encoding with
 /// integer tightening, and the shared relational overflow oracle.
 ///
@@ -19,8 +20,13 @@
 #include "analysis/Octagon.h"
 #include "analysis/Zone.h"
 #include "smtlib/Term.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <tuple>
 
 using namespace staub;
 using namespace staub::analysis;
@@ -96,33 +102,315 @@ TEST(DbmTest, InjectedSkipLastPivotLeavesTriangleInconsistency) {
   EXPECT_EQ(*Good.at(1, 0), Q(3));
 }
 
-TEST(DbmTest, WideningDropsExceededBoundsAndReachesFixpoint) {
-  Dbm A(2);
-  A.tighten(0, 1, Q(5), {0});
-  A.tighten(1, 0, Q(0), {0});
-  ASSERT_TRUE(A.close());
+//===--------------------------------------------------------------------===//
+// The fixed-point kernel against a Rational reference.
+//===--------------------------------------------------------------------===//
 
-  // B respects the (1,0) bound but exceeds the (0,1) bound: widening
-  // keeps the former and drops the latter to unbounded.
-  Dbm B(2);
-  B.tighten(0, 1, Q(6), {1});
-  B.tighten(1, 0, Q(0), {1});
-  ASSERT_TRUE(B.close());
-  Dbm W = Dbm::widen(A, B);
-  EXPECT_FALSE(W.at(0, 1).has_value());
-  ASSERT_TRUE(W.at(1, 0).has_value());
-  EXPECT_EQ(*W.at(1, 0), Q(0));
+/// A test-local Rational closure with provenance, written apart from
+/// Dbm: Floyd-Warshall and the octagon's two-round strong closure over
+/// std::optional<Rational>. The kernel, and its fallback, must agree with
+/// it entry for entry.
+class ReferenceDbm {
+public:
+  explicit ReferenceDbm(unsigned N) : N(N), W(N * N), Src(N * N) {
+    for (unsigned I = 0; I < N; ++I)
+      W[I * N + I] = Q(0);
+  }
 
-  // Widening only ever drops bounds, so iterating against ever-looser
-  // states reaches a fixpoint: the second application changes nothing.
-  Dbm C(2);
-  C.tighten(0, 1, Q(100), {2});
-  C.tighten(1, 0, Q(0), {2});
-  ASSERT_TRUE(C.close());
-  Dbm W2 = Dbm::widen(W, C);
-  for (unsigned I = 0; I < 2; ++I)
-    for (unsigned J = 0; J < 2; ++J)
-      EXPECT_EQ(W2.at(I, J).has_value(), W.at(I, J).has_value());
+  void tighten(unsigned I, unsigned J, const Rational &C,
+               const std::set<unsigned> &S = {}) {
+    std::optional<Rational> &E = W[I * N + J];
+    if (!E || C < *E) {
+      E = C;
+      Src[I * N + J] = S;
+    } else if (C == *E) {
+      Src[I * N + J].insert(S.begin(), S.end());
+    }
+    if (I == J && C < Q(0))
+      Consistent = false;
+  }
+
+  void close(bool SkipLastPivot = false) {
+    for (unsigned K = 0; K < N; ++K) {
+      if (SkipLastPivot && K + 1 == N)
+        continue;
+      for (unsigned I = 0; I < N; ++I)
+        for (unsigned J = 0; J < N; ++J) {
+          // D(I,K) is re-read per column: a negative D(K,K) moves it.
+          const std::optional<Rational> &IK = W[I * N + K];
+          const std::optional<Rational> &KJ = W[K * N + J];
+          if (!IK || !KJ)
+            continue;
+          Rational Via = *IK + *KJ;
+          std::optional<Rational> &IJ = W[I * N + J];
+          if (!IJ || Via < *IJ) {
+            std::set<unsigned> Union = Src[I * N + K];
+            Union.insert(Src[K * N + J].begin(), Src[K * N + J].end());
+            IJ = Via;
+            Src[I * N + J] = std::move(Union);
+          }
+        }
+    }
+    for (unsigned I = 0; I < N; ++I)
+      if (W[I * N + I]->isNegative())
+        Consistent = false;
+  }
+
+  void strongClose() {
+    close();
+    for (unsigned Round = 0; Round < 2 && Consistent; ++Round) {
+      for (unsigned I = 0; I < N; ++I)
+        for (unsigned J = 0; J < N; ++J) {
+          const std::optional<Rational> &A = W[I * N + (I ^ 1u)];
+          const std::optional<Rational> &B = W[(J ^ 1u) * N + J];
+          if (J != I && A && B)
+            tighten(I, J, (*A + *B) / Q(2));
+        }
+      for (unsigned I = 0; I < N; ++I)
+        if (const std::optional<Rational> &A = W[I * N + (I ^ 1u)])
+          tighten(I, I ^ 1u, Rational((*A / Q(2)).floor()) * Q(2));
+      close();
+    }
+  }
+
+  const std::optional<Rational> &at(unsigned I, unsigned J) const {
+    return W[I * N + J];
+  }
+  const std::set<unsigned> &sourcesAt(unsigned I, unsigned J) const {
+    return Src[I * N + J];
+  }
+  bool consistent() const { return Consistent; }
+
+  std::set<unsigned> negativeCycleSources() const {
+    std::set<unsigned> Out;
+    for (unsigned I = 0; I < N; ++I)
+      if (W[I * N + I]->isNegative())
+        Out.insert(Src[I * N + I].begin(), Src[I * N + I].end());
+    return Out;
+  }
+
+  bool triangleConsistent() const {
+    for (unsigned K = 0; K < N; ++K)
+      for (unsigned I = 0; I < N; ++I)
+        for (unsigned J = 0; J < N; ++J) {
+          const std::optional<Rational> &IK = at(I, K), &KJ = at(K, J);
+          if (IK && KJ && (!at(I, J) || *IK + *KJ < *at(I, J)))
+            return false;
+        }
+    return true;
+  }
+
+private:
+  unsigned N;
+  std::vector<std::optional<Rational>> W;
+  std::vector<std::set<unsigned>> Src;
+  bool Consistent = true;
+};
+
+std::string show(const std::optional<Rational> &W) {
+  return W ? W->toString() : "absent";
+}
+
+/// Every observable of \p D equals the reference's. Provenance is
+/// compared too: an untracked matrix and a reference fed no sources are
+/// both empty.
+testing::AssertionResult agrees(const Dbm &D, const ReferenceDbm &R) {
+  if (D.consistent() != R.consistent())
+    return testing::AssertionFailure() << "consistent() differs";
+  for (unsigned I = 0; I < D.size(); ++I)
+    for (unsigned J = 0; J < D.size(); ++J) {
+      if (D.at(I, J) != R.at(I, J))
+        return testing::AssertionFailure()
+               << "D(" << I << "," << J << ") = " << show(D.at(I, J))
+               << ", reference " << show(R.at(I, J));
+      if (D.sourcesAt(I, J) != R.sourcesAt(I, J))
+        return testing::AssertionFailure()
+               << "provenance of D(" << I << "," << J << ") differs";
+    }
+  if (D.negativeCycleSources() != R.negativeCycleSources())
+    return testing::AssertionFailure() << "negativeCycleSources() differs";
+  if (D.triangleConsistent() != R.triangleConsistent())
+    return testing::AssertionFailure() << "triangleConsistent() differs";
+  return testing::AssertionSuccess();
+}
+
+TEST(DbmTest, KernelMatchesRationalReferenceOnRandomZones) {
+  SplitMix64 Rng(42);
+  unsigned Consistent = 0, Cycles = 0, Mutants = 0;
+  for (unsigned Round = 0; Round < 400; ++Round) {
+    unsigned N = 1 + unsigned(Rng.below(10));
+    bool Skip = Rng.chance(1, 4), Real = Rng.chance(1, 4);
+    Dbm D(N);
+    ReferenceDbm R(N);
+    unsigned Edges = unsigned(Rng.below(3 * N + 1));
+    for (unsigned E = 0; E < Edges; ++E) {
+      unsigned I = unsigned(Rng.below(N)), J = unsigned(Rng.below(N));
+      // A quarter of the zones are Real, with denominators up to 6.
+      Rational C = Real ? Rational(BigInt(Rng.range(-30, 120)),
+                                   BigInt(int64_t(1 + Rng.below(6))))
+                        : Q(Rng.range(-5, 20));
+      std::set<unsigned> S = {unsigned(Rng.below(12))};
+      D.tighten(I, J, C, S);
+      R.tighten(I, J, C, S);
+      if (Rng.chance(1, 4)) {
+        // An equally tight re-record unions provenance.
+        std::set<unsigned> More = {unsigned(Rng.below(12))};
+        D.tighten(I, J, C, More);
+        R.tighten(I, J, C, More);
+      }
+    }
+    D.close(Skip);
+    R.close(Skip);
+    ASSERT_TRUE(D.fixedPoint()) << "round " << Round;
+    ASSERT_TRUE(agrees(D, R)) << "round " << Round;
+    Consistent += R.consistent();
+    Cycles += !R.consistent();
+    Mutants += R.consistent() && !R.triangleConsistent();
+  }
+  // The sweep covers closed zones, negative cycles, and the mutant's
+  // under-closure.
+  EXPECT_GT(Consistent, 40u) << Consistent;
+  EXPECT_GT(Cycles, 40u) << Cycles;
+  EXPECT_GT(Mutants, 5u) << Mutants;
+}
+
+TEST(OctagonTest, KernelMatchesRationalReferenceOnRandomOctagons) {
+  SplitMix64 Rng(1009);
+  unsigned Kernel = 0, Fallback = 0, Halves = 0, Inconsistent = 0;
+  for (unsigned Round = 0; Round < 400; ++Round) {
+    unsigned Vars = 2 + unsigned(Rng.below(7));
+    unsigned Width = 4 + unsigned(Rng.below(61));
+    unsigned N = 2 * Vars;
+    Dbm D(N, /*TrackSources=*/false);
+    ReferenceDbm R(N);
+    auto Record = [&](unsigned I, unsigned J, const Rational &C) {
+      D.tighten(I, J, C);
+      R.tighten(I, J, C);
+    };
+    // Every variable ranges over the signed width, doubled on its pair.
+    Rational Half(BigInt::pow2(Width - 1));
+    for (unsigned K = 0; K < Vars; ++K) {
+      Record(2 * K, 2 * K + 1, (Half - Q(1)) * Q(2));
+      Record(2 * K + 1, 2 * K, Half * Q(2));
+    }
+    int64_t Spread = int64_t(1) << std::min(Width - 1, 3u);
+    unsigned Facts = unsigned(Rng.below(4 * Vars + 1));
+    for (unsigned F = 0; F < Facts; ++F) {
+      unsigned NX = unsigned(Rng.below(N));
+      if (Rng.chance(1, 2)) {
+        // An odd doubled unary bound: strengthening halves it.
+        Record(NX, NX ^ 1u, Q(2 * Rng.range(-Spread, Spread) + 1));
+        continue;
+      }
+      // +-x +-y <= C with its coherent dual edge.
+      unsigned NY = unsigned(Rng.below(N));
+      Rational C = Q(Rng.range(-Spread, Spread));
+      Record(NX, NY, C);
+      Record(NY ^ 1u, NX ^ 1u, C);
+    }
+    D.strongClose();
+    R.strongClose();
+    ASSERT_TRUE(agrees(D, R)) << "round " << Round << ", width " << Width;
+    (D.fixedPoint() ? Kernel : Fallback) += 1;
+    Inconsistent += !R.consistent();
+    for (unsigned I = 0; I < N; ++I)
+      for (unsigned J = 0; J < N; ++J)
+        Halves += R.at(I, J) && !R.at(I, J)->isInteger();
+  }
+  // Narrow widths stay in the kernel, the widest fall back. Tightened
+  // consistent octagons end on integers; strengthened halves survive
+  // where a later pass stops on a contradiction.
+  EXPECT_GT(Kernel, 200u) << Kernel;
+  EXPECT_GT(Fallback, 20u) << Fallback;
+  EXPECT_GT(Halves, 0u) << Halves;
+  EXPECT_GT(Inconsistent, 0u) << Inconsistent;
+}
+
+TEST(OctagonTest, Width64OctagonTakesTheRationalFallback) {
+  // x in [-2^63, 2^63 - 1] doubles to 2^64 on the pair: past admission.
+  Dbm D(4, /*TrackSources=*/false);
+  ReferenceDbm R(4);
+  Rational Half(BigInt::pow2(63));
+  for (unsigned K = 0; K < 2; ++K) {
+    for (auto [I, J, C] : {std::tuple{2 * K, 2 * K + 1, (Half - Q(1)) * Q(2)},
+                           std::tuple{2 * K + 1, 2 * K, Half * Q(2)}}) {
+      D.tighten(I, J, C);
+      R.tighten(I, J, C);
+    }
+  }
+  // x + y <= 5 and x - y <= 0, with their duals: 2x <= 5 rounds to 4.
+  for (auto [I, J, C] : {std::tuple{0u, 3u, 5}, std::tuple{2u, 1u, 5},
+                         std::tuple{0u, 2u, 0}, std::tuple{3u, 1u, 0}}) {
+    D.tighten(I, J, Q(C));
+    R.tighten(I, J, Q(C));
+  }
+  ASSERT_TRUE(D.strongClose());
+  R.strongClose();
+  EXPECT_FALSE(D.fixedPoint());
+  EXPECT_TRUE(agrees(D, R));
+  EXPECT_EQ(*D.at(0, 1), Q(4));
+}
+
+TEST(DbmTest, HugeConstantsAndDenominatorsTakeTheRationalFallback) {
+  // A 2^70 bound cannot be a fixed-point weight; neither can a unit of
+  // 2^-62, whose inputs would need a Scale past the admission bound.
+  for (const Rational &Big :
+       {Rational(BigInt::pow2(70)),
+        Rational(BigInt(1), BigInt::pow2(62))}) {
+    Dbm D(3);
+    ReferenceDbm R(3);
+    for (auto [I, J, C, S] : {std::tuple{0u, 1u, Big, 0u},
+                              std::tuple{1u, 2u, Q(-3), 1u},
+                              std::tuple{2u, 0u, Q(5), 2u}}) {
+      D.tighten(I, J, C, {S});
+      R.tighten(I, J, C, {S});
+    }
+    EXPECT_TRUE(D.close());
+    R.close();
+    EXPECT_FALSE(D.fixedPoint());
+    EXPECT_TRUE(agrees(D, R));
+  }
+}
+
+TEST(DbmTest, RealThirdsAndSeventhsStayInTheKernel) {
+  // Denominators 3 and 7 put the zone on a unit of 1/21.
+  Dbm D(3);
+  ReferenceDbm R(3);
+  for (auto [I, J, C, S] :
+       {std::tuple{1u, 0u, Rational(BigInt(1), BigInt(3)), 0u},
+        std::tuple{2u, 1u, Rational(BigInt(1), BigInt(7)), 1u},
+        std::tuple{0u, 2u, Rational(BigInt(-2), BigInt(7)), 2u}}) {
+    D.tighten(I, J, C, {S});
+    R.tighten(I, J, C, {S});
+  }
+  ASSERT_TRUE(D.close());
+  R.close();
+  EXPECT_TRUE(D.fixedPoint());
+  EXPECT_TRUE(agrees(D, R));
+  EXPECT_EQ(*D.at(2, 0), Rational(BigInt(10), BigInt(21)));
+  EXPECT_EQ(D.sourcesAt(2, 0), (std::set<unsigned>{0, 1}));
+}
+
+TEST(DbmTest, OverflowingNegativeCycleRestartsInRationals) {
+  // A 40-node path whose every edge runs both ways at a weight that
+  // passes admission: each pivot meets a negative cycle, and relaxing
+  // through the negative diagonals compounds until a sum leaves int64_t.
+  // The restart from the inputs must give the Rational loop's result,
+  // provenance included.
+  const unsigned N = 40;
+  Rational Weight = Q(-(((int64_t(1) << 61) - 1) / N));
+  Dbm D(N);
+  ReferenceDbm R(N);
+  for (unsigned I = 0; I + 1 < N; ++I)
+    for (auto [From, To, Src] :
+         {std::tuple{I, I + 1, I}, std::tuple{I + 1, I, N + I}}) {
+      D.tighten(From, To, Weight, {Src});
+      R.tighten(From, To, Weight, {Src});
+    }
+  EXPECT_FALSE(D.close());
+  R.close();
+  EXPECT_FALSE(D.fixedPoint());
+  EXPECT_TRUE(agrees(D, R));
 }
 
 //===--------------------------------------------------------------------===//

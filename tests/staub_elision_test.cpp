@@ -11,8 +11,9 @@
 /// constraints; a metamorphic check shows elision never changes the
 /// pipeline verdict; an aggregate check enforces the >= 20% elision rate
 /// on the benchgen Int suites that range facts were added for. Relational
-/// (octagon) elision is pinned per family on the correlated suite, and a
-/// guard the pre-filter drops must still source facts for the others.
+/// (octagon) elision is pinned per family on the correlated suite, a
+/// guard the pre-filter drops must still source facts for the others, and
+/// a stopped cancellation token keeps the guards not yet elided.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -224,6 +225,47 @@ TEST(GuardElisionTest, CorrelatedSuiteRelationalElisionIsPinned) {
       EXPECT_TRUE(Report.clean()) << Report.toString();
     }
   }
+}
+
+TEST(GuardElisionTest, RelationalElisionStopsOnCancellation) {
+  // Elision polls the query's token between candidates. A stopped token
+  // keeps every guard not yet elided, which is always sound and lints
+  // clean; a live token changes nothing.
+  auto Mini = createMiniSmtSolver();
+  BenchConfig Config;
+  Config.Seed = 42;
+  Config.Count = 24;
+  TermManager M;
+  for (const GeneratedConstraint &C : generateCorrelatedSuite(M, Config)) {
+    if (C.Family != "CorrBands")
+      continue;
+    StaubOptions Options;
+    Options.Solve.TimeoutSeconds = 20.0;
+    StaubOutcome Plain = runStaub(M, C.Assertions, *Mini, Options);
+    ASSERT_EQ(Plain.RelationalGuardsElided, 1u);
+
+    CancellationToken Live;
+    Options.Solve.Cancel = &Live;
+    StaubOutcome Same = runStaub(M, C.Assertions, *Mini, Options);
+    EXPECT_EQ(Same.RelationalGuardsElided, Plain.RelationalGuardsElided);
+    EXPECT_EQ(Same.GuardsEmitted, Plain.GuardsEmitted);
+    EXPECT_EQ(Same.GuardsElided, Plain.GuardsElided);
+    EXPECT_EQ(Same.BoundedAssertions, Plain.BoundedAssertions);
+    EXPECT_EQ(Same.Path, Plain.Path) << toString(Same.Path);
+
+    CancellationToken Stopped;
+    Stopped.cancel();
+    Options.Solve.Cancel = &Stopped;
+    StaubOutcome Kept = runStaub(M, C.Assertions, *Mini, Options);
+    EXPECT_EQ(Kept.RelationalGuardsElided, 0u);
+    EXPECT_EQ(Kept.GuardsEmitted, Plain.GuardsEmitted + 1);
+    EXPECT_EQ(Kept.GuardsElided, Plain.GuardsElided - 1);
+    analysis::LintReport Report =
+        analysis::lintBounded(M, Kept.BoundedAssertions);
+    EXPECT_TRUE(Report.clean()) << Report.toString();
+    return;
+  }
+  FAIL() << "the correlated suite has no CorrBands instance";
 }
 
 } // namespace
