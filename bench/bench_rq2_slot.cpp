@@ -16,8 +16,7 @@
 
 #include "BenchUtil.h"
 #include "slot/Slot.h"
-#include "staub/BoundInference.h"
-#include "staub/Transform.h"
+#include "staub/Staub.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "z3adapter/Z3Solver.h"
@@ -44,9 +43,7 @@ int main(int Argc, char **Argv) {
   uint64_t NodesBefore = 0, NodesAfter = 0, Rewrites = 0;
   unsigned Translated = 0;
   for (const GeneratedConstraint &C : Suite) {
-    IntBounds Bounds = inferIntBounds(M, C.Assertions);
-    TransformResult T =
-        transformIntToBv(M, C.Assertions, Bounds.VariableAssumption);
+    TransformResult T = translateAsParsed(M, C.Assertions, {});
     if (!T.Ok)
       continue;
     ++Translated;

@@ -429,8 +429,8 @@ void harvestFormula(const TermManager &M, Harvest &H, Term T, bool UseVarVar) {
 /// ordering fact once, in harvest order; identical fact lists (the
 /// translated conjunction mirrors the original's structure) therefore
 /// converge to identical bounds on both sides of the translation.
-void propagateVarVar(Harvest &H, unsigned MaxRounds) {
-  for (unsigned Round = 0; Round < MaxRounds; ++Round) {
+void propagateVarVar(Harvest &H) {
+  for (unsigned Round = 0; Round < VarVarRounds; ++Round) {
     bool Changed = false;
     for (const VarVarFact &F : H.VarVar) {
       Interval A = H.VarBounds.count(F.A) ? H.VarBounds[F.A] : Interval::top();
@@ -647,7 +647,7 @@ IntervalSummary analysis::analyzeIntervals(const TermManager &Manager,
   Harvest H;
   for (Term Assertion : Assertions)
     harvestFormula(Manager, H, Assertion, Options.UseVarVarFacts);
-  propagateVarVar(H, Options.MaxRounds);
+  propagateVarVar(H);
   Summary.TheImpl->VarBounds = std::move(H.VarBounds);
   Summary.TheImpl->FactCount = H.FactCount;
   Summary.TheImpl->Analysis.emplace(

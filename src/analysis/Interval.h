@@ -137,6 +137,12 @@ bool overflowImpossible(Kind GuardKind, const Interval &A, const Interval &B,
                         unsigned Width, const KnownBits &KA,
                         const KnownBits &KB);
 
+/// Cap on analyzeIntervals()' variable-variable fact propagation rounds.
+/// Stopping early only widens intervals, which is always sound. One
+/// constant for every caller, so guard elision and lint converge to the
+/// same bounds on both sides of a translation.
+inline constexpr unsigned VarVarRounds = 8;
+
 /// Options for analyzeIntervals().
 struct IntervalOptions {
   /// When nonzero, every Int-sorted node is clamped to the signed range
@@ -151,9 +157,6 @@ struct IntervalOptions {
   /// range of this magnitude assumption: |v| <= 2^(m-1) - 1 (magnitude
   /// refinement mode for real bound inference).
   unsigned ClampRealVarsMagnitude = 0;
-  /// Cap on variable-variable fact propagation rounds. Stopping early
-  /// only widens intervals, which is always sound.
-  unsigned MaxRounds = 8;
   /// Harvest variable-variable ordering facts (x <= y). The elision/lint
   /// engines keep this on (identically on both sides); width refinement
   /// turns it off to preserve the paper's Fig. 4 arithmetic.

@@ -436,9 +436,7 @@ private:
 
     // The engine runs with the same options on both sides of the
     // translation (see Interval.h); BV nodes are clamped by their sort.
-    IntervalOptions IOpts;
-    IOpts.MaxRounds = Options.MaxRounds;
-    IntervalSummary Intervals = analyzeIntervals(M, Assertions, IOpts);
+    IntervalSummary Intervals = analyzeIntervals(M, Assertions, {});
 
     // The relational replay of the elision side's octagon: facts
     // harvested from the bounded assertions, filtered by the one-pass

@@ -72,9 +72,6 @@ struct LintOptions {
   /// Enforce guard discipline. On for translator output; off for foreign
   /// bounded scripts, which carry no guard contract.
   bool RequireGuards = true;
-  /// Cap on the interval engine's variable-variable fixpoint rounds.
-  /// Must match the elision side (TransformOptions) for completeness.
-  unsigned MaxRounds = 8;
   /// Accept (and note, as "correlated-guard" warnings) operations whose
   /// safety rests on relational (octagon) facts. Must match the elision
   /// side's TransformOptions::Relational for completeness: with elision

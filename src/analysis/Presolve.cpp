@@ -779,7 +779,7 @@ PresolveResult Engine::run() {
   unsigned Round = 0;
   unsigned RelPasses = 0;
   while (!Failed) {
-    while (Round < Opts.MaxRounds && !Failed) {
+    while (Round < config::PresolveMaxRounds && !Failed) {
       Changed = false;
       ++Round;
       for (unsigned CI = 0; CI < Conjuncts.size() && !Failed; ++CI) {

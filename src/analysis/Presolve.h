@@ -60,12 +60,11 @@ struct PresolveStats {
   /// Int-width bits the contracted ranges saved vs. the constant-width
   /// heuristic (filled by the pipeline, not by presolve()).
   unsigned WidthBitsSaved = 0;
-  /// Contraction rounds actually run (<= PresolveOptions::MaxRounds).
+  /// Contraction rounds actually run (<= config::PresolveMaxRounds).
   unsigned Rounds = 0;
 };
 
 struct PresolveOptions {
-  unsigned MaxRounds = config::PresolveMaxRounds;
   /// Alternate the HC4 interval loop with relational (zone/DBM) closure
   /// passes: difference bounds harvested from the surviving conjuncts are
   /// closed under Floyd-Warshall, negative cycles conclude TriviallyUnsat

@@ -11,7 +11,6 @@
 #include "analysis/Zone.h"
 #include "fuzz/Rewrite.h"
 #include "staub/BoundInference.h"
-#include "staub/Config.h"
 #include "staub/Staub.h"
 #include "staub/Transform.h"
 #include "staub/WidthReduction.h"
@@ -176,19 +175,13 @@ checkIntTranslationExactness(TermManager &Manager, const FuzzInstance &Instance,
   if (Options.Theory != FuzzTheory::Int ||
       usesIntDivision(Manager, Instance.Assertions))
     return std::nullopt;
-  IntBounds Bounds = inferIntBounds(Manager, Instance.Assertions);
-  unsigned Width =
-      std::clamp(Bounds.VariableAssumption, 1u, config::DefaultWidthCap);
-  TransformResult Transform =
-      transformIntToBv(Manager, Instance.Assertions, Width);
+  TransformResult Transform = translateAsParsed(
+      Manager, Instance.Assertions, pipelineOptions(Options));
   if (!Transform.Ok)
     return std::nullopt;
   std::vector<Term> Bounded = Transform.Assertions;
-  if (Options.Inject == BugInjection::DropOverflowGuards) {
-    // The translator emits one assertion per input followed by the guards;
-    // truncating to the input count strips exactly the guards.
-    Bounded.resize(Instance.Assertions.size());
-  }
+  if (Options.Inject == BugInjection::DropOverflowGuards)
+    Bounded.resize(Transform.TranslatedCount); // Strips exactly the guards.
   SolveResult Result = Backend.solve(Manager, Bounded, solveOptions(Options));
   if (Result.Status != SolveStatus::Sat)
     return std::nullopt;
@@ -217,28 +210,15 @@ std::optional<Violation> checkTranslationLint(TermManager &Manager,
                                               const FuzzInstance &Instance,
                                               SolverBackend &,
                                               const OracleOptions &Options) {
-  analysis::LintOptions LOpts;
-  TransformResult Transform;
-  if (Options.Theory == FuzzTheory::Int) {
-    IntBounds Bounds = inferIntBounds(Manager, Instance.Assertions);
-    unsigned Width =
-        std::clamp(Bounds.VariableAssumption, 1u, config::DefaultWidthCap);
-    Transform = transformIntToBv(Manager, Instance.Assertions, Width);
-  } else {
-    FpFormat Format = FpFormat::float16();
-    if (Options.Theory == FuzzTheory::Real) {
-      RealBounds Bounds = inferRealBounds(Manager, Instance.Assertions);
-      Format = chooseFpFormat(Bounds.RootMagnitude, Bounds.RootPrecision);
-    }
-    Transform = transformRealToFp(Manager, Instance.Assertions, Format);
-    LOpts.RequireGuards = false;
-  }
+  TransformResult Transform = translateAsParsed(
+      Manager, Instance.Assertions, pipelineOptions(Options));
   if (!Transform.Ok)
     return std::nullopt;
   std::vector<Term> Bounded = Transform.Assertions;
-  if (Options.Inject == BugInjection::DropOverflowGuards &&
-      Options.Theory == FuzzTheory::Int)
-    Bounded.resize(Instance.Assertions.size());
+  if (Options.Inject == BugInjection::DropOverflowGuards)
+    Bounded.resize(Transform.TranslatedCount);
+  analysis::LintOptions LOpts;
+  LOpts.RequireGuards = Transform.Width != 0; // FP emits no guards.
   analysis::LintReport Report = analysis::lintTranslation(
       Manager, Instance.Assertions, Bounded, Transform.VariableMap, LOpts);
   if (Report.clean())
@@ -304,11 +284,8 @@ checkWidthReductionStability(TermManager &Manager, const FuzzInstance &Instance,
                              const OracleOptions &Options) {
   if (Options.Theory != FuzzTheory::Int)
     return std::nullopt;
-  IntBounds Bounds = inferIntBounds(Manager, Instance.Assertions);
-  unsigned Width =
-      std::clamp(Bounds.VariableAssumption, 1u, config::DefaultWidthCap);
-  TransformResult Transform =
-      transformIntToBv(Manager, Instance.Assertions, Width);
+  TransformResult Transform = translateAsParsed(
+      Manager, Instance.Assertions, pipelineOptions(Options));
   if (!Transform.Ok)
     return std::nullopt;
   SolveResult Narrow = runWidthReduction(Manager, Transform.Assertions,

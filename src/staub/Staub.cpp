@@ -38,12 +38,8 @@ std::string_view staub::toString(StaubPath Path) {
   return "<invalid>";
 }
 
-namespace {
-
-/// Which unbounded sort a constraint set uses; nullopt when mixed or
-/// neither (nothing to arbitrage).
-std::optional<SortKind> unboundedSortOf(const TermManager &Manager,
-                                        const std::vector<Term> &Assertions) {
+InputSort staub::selectSort(const TermManager &Manager,
+                            const std::vector<Term> &Assertions) {
   bool HasInt = false, HasReal = false, HasBounded = false;
   std::vector<bool> Seen(Manager.numTerms(), false);
   std::vector<Term> Stack(Assertions.begin(), Assertions.end());
@@ -60,14 +56,103 @@ std::optional<SortKind> unboundedSortOf(const TermManager &Manager,
     for (Term Child : Manager.children(T))
       Stack.push_back(Child);
   }
+  if (!HasInt && !HasReal)
+    return InputSort::Bounded;
   if (HasBounded || (HasInt && HasReal))
-    return std::nullopt;
-  if (HasInt)
-    return SortKind::Int;
-  if (HasReal)
-    return SortKind::Real;
-  return std::nullopt;
+    return InputSort::Mixed;
+  return HasInt ? InputSort::Int : InputSort::Real;
 }
+
+TranslationTarget staub::chooseTarget(
+    const TermManager &Manager, const std::vector<Term> &Assertions,
+    InputSort Sort, const StaubOptions &Options,
+    const std::unordered_map<uint32_t, analysis::Interval> *Ranges) {
+  assert((Sort == InputSort::Int || Sort == InputSort::Real) &&
+         "no sort correspondence to target");
+  TranslationTarget Target;
+  if (Sort == InputSort::Int) {
+    if (Options.FixedWidth) {
+      Target.Width = *Options.FixedWidth;
+    } else {
+      IntBounds Bounds =
+          inferIntBounds(Manager, Assertions, Options.WidthCap, Ranges);
+      Target.Width = Options.UseRootWidth ? Bounds.RootWidth
+                                          : Bounds.VariableAssumption;
+    }
+  } else if (Options.FixedWidth) {
+    // Fixed-width ablation for reals: interpret the width as the total
+    // FP size by picking the standard format of that size.
+    Target.Format = *Options.FixedWidth <= 16   ? FpFormat::float16()
+                    : *Options.FixedWidth <= 32 ? FpFormat::float32()
+                    : *Options.FixedWidth <= 64 ? FpFormat::float64()
+                                                : FpFormat::float128();
+  } else {
+    RealBounds Bounds = inferRealBounds(Manager, Assertions, Options.WidthCap,
+                                        config::RealPrecisionCap);
+    Target.Format = chooseFpFormat(Bounds.RootMagnitude, Bounds.RootPrecision,
+                                   Options.StandardFpFormats);
+  }
+  return Target;
+}
+
+TransformResult staub::translate(TermManager &Manager,
+                                 const std::vector<Term> &Assertions,
+                                 const TranslationTarget &Target,
+                                 const StaubOptions &Options) {
+  if (!Target.Width)
+    return transformRealToFp(Manager, Assertions, Target.Format);
+  TransformOptions TOpts;
+  TOpts.ElideGuards = Options.ElideGuards;
+  TOpts.Relational = Options.Relational;
+  TOpts.Cancel = Options.Solve.Cancel;
+  return transformIntToBv(Manager, Assertions, Target.Width, TOpts);
+}
+
+TransformResult staub::translateAsParsed(TermManager &Manager,
+                                         const std::vector<Term> &Assertions,
+                                         const StaubOptions &Options) {
+  InputSort Sort = selectSort(Manager, Assertions);
+  if (Sort == InputSort::Int || Sort == InputSort::Real)
+    return translate(Manager, Assertions,
+                     chooseTarget(Manager, Assertions, Sort, Options),
+                     Options);
+  TransformResult Failed;
+  if (Sort == InputSort::Mixed) {
+    Failed.FailReason =
+        "mixed Int/Real/bounded sorts are outside the translation contract";
+    return Failed;
+  }
+  // Already bounded: name the sort, as the translators do for a variable
+  // they cannot map.
+  Failed.FailReason = "no Int or Real term to translate";
+  for (Term A : Assertions)
+    for (Term V : Manager.collectVariables(A))
+      if (!Manager.sort(V).isBool()) {
+        Failed.FailReason =
+            "unsupported variable sort " + Manager.sort(V).toString();
+        return Failed;
+      }
+  return Failed;
+}
+
+std::optional<Model> staub::verifyBoundedModel(
+    TermManager &Manager, const std::vector<Term> &Assertions,
+    const TransformResult &Transform, const Model &Bounded,
+    const analysis::PresolveResult *Presolved) {
+  Model Unbounded;
+  if (!convertModelBack(Manager, Transform, Bounded, Unbounded))
+    return std::nullopt;
+  // Model transport: variables whose every occurrence was presolved away
+  // are unbound in the bounded model; fill them from the presolver's
+  // suggestions before checking against the ORIGINAL constraint.
+  if (Presolved)
+    analysis::completeModel(Manager, Assertions, *Presolved, Unbounded);
+  if (!evaluatesToTrue(Manager, Manager.mkAnd(Assertions), Unbounded))
+    return std::nullopt;
+  return Unbounded;
+}
+
+namespace {
 
 /// The width-escalation ladder (Sec. 4.4 extension). Entered after the
 /// backend reported bounded-unsat on \p Base, the translation of \p Input
@@ -85,10 +170,9 @@ std::optional<SortKind> unboundedSortOf(const TermManager &Manager,
 void escalateWidths(TermManager &Manager,
                     const std::vector<Term> &OriginalAssertions,
                     const std::vector<Term> &Input, const TransformResult &Base,
-                    const analysis::PresolveResult &Pre, bool UsePresolvedSet,
+                    const analysis::PresolveResult *Presolved,
                     SolverBackend &Backend, const StaubOptions &Options,
-                    const TransformOptions &TOpts, const WallTimer &SolveBudget,
-                    StaubOutcome &Outcome) {
+                    const WallTimer &SolveBudget, StaubOutcome &Outcome) {
   std::unique_ptr<IncrementalBvSession> Session =
       Backend.openIncrementalBv(Manager);
   if (!Session)
@@ -101,7 +185,7 @@ void escalateWidths(TermManager &Manager,
     if (stopRequested(Options.Solve.Cancel))
       return;
     if (Outcome.EscalationSteps > 0) {
-      Wider = transformIntToBv(Manager, Input, Width, TOpts);
+      Wider = translate(Manager, Input, TranslationTarget{Width}, Options);
       if (!Wider.Ok)
         return;
     }
@@ -131,19 +215,13 @@ void escalateWidths(TermManager &Manager,
       for (const auto &[OrigId, Mapped] : Step.VariableMap)
         if (Known.insert(Mapped.id()).second)
           Variables.push_back(Mapped);
-      Model Bounded = Session->model(Variables);
-      Model Unbounded;
-      if (!convertModelBack(Manager, Step, Bounded, Unbounded)) {
-        Outcome.Path = StaubPath::SemanticDifference;
-        return;
-      }
-      if (UsePresolvedSet)
-        analysis::completeModel(Manager, OriginalAssertions, Pre, Unbounded);
-      Term Original = Manager.mkAnd(OriginalAssertions);
-      if (evaluatesToTrue(Manager, Original, Unbounded)) {
+      std::optional<Model> Verified =
+          verifyBoundedModel(Manager, OriginalAssertions, Step,
+                             Session->model(Variables), Presolved);
+      if (Verified) {
         Outcome.Path = Outcome.EscalationSteps ? StaubPath::EscalatedSat
                                                : StaubPath::VerifiedSat;
-        Outcome.VerifiedModel = std::move(Unbounded);
+        Outcome.VerifiedModel = std::move(*Verified);
         Outcome.ChosenWidth = Width;
       } else {
         Outcome.Path = StaubPath::SemanticDifference;
@@ -178,9 +256,9 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   StaubOutcome Outcome;
   WallTimer Timer;
 
-  // Step 1+2: sort selection and bound inference.
-  auto SortKindUsed = unboundedSortOf(Manager, Assertions);
-  if (!SortKindUsed) {
+  // Step 1: sort selection.
+  InputSort Sort = selectSort(Manager, Assertions);
+  if (Sort != InputSort::Int && Sort != InputSort::Real) {
     Outcome.Path = StaubPath::TranslationFailed;
     Outcome.TransSeconds = Timer.elapsedSeconds();
     return Outcome;
@@ -188,18 +266,16 @@ StaubOutcome staub::runStaub(TermManager &Manager,
 
   // Step 1.5: interval-contraction presolve over the exact unbounded
   // semantics (analysis/Presolve.h, docs/ANALYSIS.md). Static verdicts
-  // short-circuit the bounded pipeline; otherwise the presolved set
-  // (surviving conjuncts + materialized ranges) replaces the original
-  // whenever it infers a no-worse width, and the contracted ranges let the
-  // variable assumption drop below the constant-width heuristic.
+  // short-circuit the bounded pipeline before any bound inference;
+  // otherwise the presolved set (surviving conjuncts + materialized
+  // ranges) replaces the original whenever it takes a no-wider target,
+  // and the contracted ranges let the Int variable assumption drop below
+  // the constant-width heuristic.
   analysis::PresolveResult Pre;
-  bool PresolveRan = false;
-  bool UsePresolvedSet = false;
   if (Options.Presolve) {
     analysis::PresolveOptions POpts;
     POpts.Relational = Options.Relational;
     Pre = analysis::presolve(Manager, Assertions, POpts);
-    PresolveRan = true;
     Outcome.Presolve = Pre.Stats;
     Outcome.PresolveCertificate = Pre.Certificate;
     if (Pre.Stats.Verdict == analysis::PresolveVerdict::TriviallyUnsat) {
@@ -214,74 +290,31 @@ StaubOutcome staub::runStaub(TermManager &Manager,
       return Outcome;
     }
   }
-  // Never substitute the set under a FixedWidth override: materialized
-  // range constants can exceed the fixed width and sink the translation.
-  bool PresolveCandidate = PresolveRan && !Options.FixedWidth;
 
-  TransformResult Transform;
-  TransformOptions TOpts;
-  TOpts.ElideGuards = Options.ElideGuards;
-  TOpts.Relational = Options.Relational;
-  TOpts.Escalate = Options.Escalate;
-  TOpts.Cancel = Options.Solve.Cancel;
-  if (*SortKindUsed == SortKind::Int) {
-    unsigned Width;
-    if (Options.FixedWidth) {
-      Width = *Options.FixedWidth;
-    } else {
-      IntBounds Bounds = inferIntBounds(Manager, Assertions, Options.WidthCap);
-      Width = Options.UseRootWidth ? Bounds.RootWidth
-                                   : Bounds.VariableAssumption;
-      if (PresolveCandidate) {
-        IntBounds PreBounds = inferIntBounds(Manager, Pre.Assertions,
-                                             Options.WidthCap, &Pre.VarRanges);
-        unsigned PreWidth = Options.UseRootWidth
-                                ? PreBounds.RootWidth
-                                : PreBounds.VariableAssumption;
-        if (PreWidth <= Width) {
-          UsePresolvedSet = true;
-          Outcome.Presolve.WidthBitsSaved = Width - PreWidth;
-          Width = PreWidth;
-        }
-      }
+  // Step 2: bound inference picks the target, on the original and (as a
+  // candidate) on the presolved set; the narrower wins and is translated
+  // once. Never substitute the set under a FixedWidth override:
+  // materialized range constants can exceed the fixed width and sink the
+  // translation.
+  TranslationTarget Target = chooseTarget(Manager, Assertions, Sort, Options);
+  bool UsePresolvedSet = false;
+  if (Options.Presolve && !Options.FixedWidth) {
+    TranslationTarget PreTarget = chooseTarget(Manager, Pre.Assertions, Sort,
+                                               Options, &Pre.VarRanges);
+    if (PreTarget.totalBits() <= Target.totalBits()) {
+      UsePresolvedSet = true;
+      Outcome.Presolve.WidthBitsSaved =
+          Target.totalBits() - PreTarget.totalBits();
+      Target = PreTarget;
     }
-    Outcome.ChosenWidth = Width;
-    Transform = transformIntToBv(
-        Manager, UsePresolvedSet ? Pre.Assertions : Assertions, Width, TOpts);
-  } else {
-    FpFormat Format{0, 0};
-    if (Options.FixedWidth) {
-      // Fixed-width ablation for reals: interpret the width as the total
-      // FP size by picking the standard format of that size.
-      Format = *Options.FixedWidth <= 16   ? FpFormat::float16()
-               : *Options.FixedWidth <= 32 ? FpFormat::float32()
-               : *Options.FixedWidth <= 64 ? FpFormat::float64()
-                                           : FpFormat::float128();
-    } else {
-      RealBounds Bounds = inferRealBounds(Manager, Assertions,
-                                          Options.WidthCap,
-                                          config::RealPrecisionCap);
-      Format = chooseFpFormat(Bounds.RootMagnitude, Bounds.RootPrecision,
-                              Options.StandardFpFormats);
-      if (PresolveCandidate) {
-        RealBounds PreBounds = inferRealBounds(Manager, Pre.Assertions,
-                                               Options.WidthCap,
-                                               config::RealPrecisionCap);
-        FpFormat PreFormat =
-            chooseFpFormat(PreBounds.RootMagnitude, PreBounds.RootPrecision,
-                           Options.StandardFpFormats);
-        if (PreFormat.totalBits() <= Format.totalBits()) {
-          UsePresolvedSet = true;
-          Outcome.Presolve.WidthBitsSaved =
-              Format.totalBits() - PreFormat.totalBits();
-          Format = PreFormat;
-        }
-      }
-    }
-    Outcome.ChosenFormat = Format;
-    Transform = transformRealToFp(
-        Manager, UsePresolvedSet ? Pre.Assertions : Assertions, Format);
   }
+  Outcome.ChosenWidth = Target.Width;
+  Outcome.ChosenFormat = Target.Format;
+  const std::vector<Term> &Input =
+      UsePresolvedSet ? Pre.Assertions : Assertions;
+  const analysis::PresolveResult *Presolved =
+      UsePresolvedSet ? &Pre : nullptr;
+  TransformResult Transform = translate(Manager, Input, Target, Options);
 
   if (!Transform.Ok) {
     Outcome.Path = StaubPath::TranslationFailed;
@@ -309,15 +342,13 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   // Step 3.5: width-escalation ladder on bounded-unsat (Int lane only;
   // an optimizer would have to be re-run per step, so SLOT chaining
   // keeps the paper's revert). Ladder time counts as solve time.
-  if (Bounded.Status == SolveStatus::Unsat &&
-      *SortKindUsed == SortKind::Int && TOpts.Escalate &&
-      !Options.FixedWidth && !Optimizer && Backend.supportsIncrementalBv()) {
+  if (Bounded.Status == SolveStatus::Unsat && Sort == InputSort::Int &&
+      Options.Escalate && !Options.FixedWidth && !Optimizer &&
+      Backend.supportsIncrementalBv()) {
     WallTimer EscalateTimer;
     Outcome.Path = StaubPath::BoundedUnsat;
-    escalateWidths(Manager, Assertions,
-                   UsePresolvedSet ? Pre.Assertions : Assertions, Transform,
-                   Pre, UsePresolvedSet, Backend, Options, TOpts, SolveBudget,
-                   Outcome);
+    escalateWidths(Manager, Assertions, Input, Transform, Presolved, Backend,
+                   Options, SolveBudget, Outcome);
     Outcome.SolveSeconds += EscalateTimer.elapsedSeconds();
     if (Outcome.Path != StaubPath::BoundedUnsat)
       return Outcome; // The ladder reached its own verdict.
@@ -332,26 +363,15 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   case SolveStatus::Unknown:
     Outcome.Path = StaubPath::BoundedUnknown;
     break;
-  case SolveStatus::Sat: {
-    Model Unbounded;
-    if (!convertModelBack(Manager, Transform, Bounded.TheModel, Unbounded)) {
-      Outcome.Path = StaubPath::SemanticDifference;
-      break;
-    }
-    // Model transport: variables whose every occurrence was presolved away
-    // are unbound in the bounded model; fill them from the presolver's
-    // suggestions before checking against the ORIGINAL constraint.
-    if (UsePresolvedSet)
-      analysis::completeModel(Manager, Assertions, Pre, Unbounded);
-    Term Original = Manager.mkAnd(Assertions);
-    if (evaluatesToTrue(Manager, Original, Unbounded)) {
+  case SolveStatus::Sat:
+    if (std::optional<Model> Verified = verifyBoundedModel(
+            Manager, Assertions, Transform, Bounded.TheModel, Presolved)) {
       Outcome.Path = StaubPath::VerifiedSat;
-      Outcome.VerifiedModel = std::move(Unbounded);
+      Outcome.VerifiedModel = std::move(*Verified);
     } else {
       Outcome.Path = StaubPath::SemanticDifference;
     }
     break;
-  }
   }
   Outcome.CheckSeconds = CheckTimer.elapsedSeconds();
   return Outcome;

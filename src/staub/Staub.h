@@ -12,6 +12,13 @@
 /// runPortfolio, pairs STAUB with a plain solve of the original constraint
 /// under a LanePolicy (Sec. 4.4 / 5.1).
 ///
+/// The translation path is written once, here: selectSort, chooseTarget,
+/// translate and verifyBoundedModel. runStaub and its escalation ladder
+/// run it; the CLI's --emit-bounded/--lint, staub-lint, the translating
+/// fuzz oracles and bench_rq2_slot run it without presolve
+/// (translateAsParsed); the width-reduction lane checks its models with
+/// verifyBoundedModel.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAUB_STAUB_STAUB_H
@@ -68,6 +75,63 @@ struct StaubOptions {
   /// Budget for the bounded-side solve.
   SolverOptions Solve;
 };
+
+/// Which sort correspondence (Sec. 4.1) a constraint set takes.
+enum class InputSort {
+  Int,     ///< Int (and Bool) only: Int -> BV.
+  Real,    ///< Real (and Bool) only: Real -> FP.
+  Bounded, ///< No Int or Real term: nothing to arbitrage.
+  Mixed,   ///< Int with Real, or an unbounded sort with a bounded one.
+};
+
+/// Sort selection. Every subterm counts, so a variable-free Int
+/// constraint is Int.
+InputSort selectSort(const TermManager &Manager,
+                     const std::vector<Term> &Assertions);
+
+/// The bounded side of one translation: Width-bit bitvectors on the Int
+/// lane, floating point of Format on the Real lane (the other is unset).
+struct TranslationTarget {
+  unsigned Width = 0;
+  FpFormat Format{0, 0};
+
+  unsigned totalBits() const { return Width ? Width : Format.totalBits(); }
+};
+
+/// Target choice for \p Assertions of sort \p Sort (Int or Real) under
+/// Options' width policy: FixedWidth (on Real, the standard format of at
+/// least that size); otherwise inferred bounds capped by WidthCap and
+/// config::RealPrecisionCap, the root width under UseRootWidth, and
+/// standard FP formats under StandardFpFormats. \p Ranges (presolve's
+/// contracted variable ranges) may lower an inferred Int width.
+TranslationTarget chooseTarget(
+    const TermManager &Manager, const std::vector<Term> &Assertions,
+    InputSort Sort, const StaubOptions &Options,
+    const std::unordered_map<uint32_t, analysis::Interval> *Ranges = nullptr);
+
+/// Translates \p Assertions to \p Target, eliding guards as Options'
+/// ElideGuards and Relational say and polling Options.Solve.Cancel.
+TransformResult translate(TermManager &Manager,
+                          const std::vector<Term> &Assertions,
+                          const TranslationTarget &Target,
+                          const StaubOptions &Options);
+
+/// The translation runStaub solves when presolve is off: selectSort,
+/// chooseTarget and translate on \p Assertions as given. Fails (Ok =
+/// false) unless the input is purely Int or purely Real.
+TransformResult translateAsParsed(TermManager &Manager,
+                                  const std::vector<Term> &Assertions,
+                                  const StaubOptions &Options);
+
+/// The model check (Sec. 4.4): phi^-1 of \p Bounded, completed with
+/// presolve's suggested values when \p Presolved is the presolved set
+/// that \p Transform translated, then exact evaluation of the original
+/// \p Assertions. The verified model, or nullopt on a semantic
+/// difference.
+std::optional<Model>
+verifyBoundedModel(TermManager &Manager, const std::vector<Term> &Assertions,
+                   const TransformResult &Transform, const Model &Bounded,
+                   const analysis::PresolveResult *Presolved = nullptr);
 
 /// How a STAUB run ended (Fig. 6, extended with the presolver's static
 /// verdicts).

@@ -80,26 +80,26 @@ protected:
   virtual Term translateNode(Term T) = 0;
 };
 
-/// Int -> BitVec translator with overflow guards. When elision is on, the
-/// original (Int-side) assertion conjunction is interval-analyzed with
-/// every Int node clamped to the signed range of the chosen width — the
-/// guarded-or-proven invariant makes that clamp a fact in any model that
-/// survives the remaining guards — and each guard whose operand intervals
-/// prove no overflow is dropped before solving.
-class IntToBv : public Translator {
+/// Int -> BitVec translator with overflow guards, which also rebuilds a
+/// bitvector constraint at a narrower width (Sec. 6.4): the two are the
+/// same rewrite with constants read as signed values. Every
+/// add/sub/mul/neg is guarded by its overflow predicate over the same
+/// ordered operands as the operation itself, which lets the bit-blaster
+/// encode the pair once (DESIGN.md). With \p Intervals (the Int-side
+/// assertions analyzed with every Int node clamped to the signed range of
+/// the width — the guarded-or-proven invariant makes that clamp a fact in
+/// any model that survives the remaining guards), each guard whose
+/// operand intervals prove no overflow is dropped before solving.
+class GuardedBv : public Translator {
 public:
-  IntToBv(TermManager &Manager, unsigned Width,
-          const std::vector<Term> &Originals, const TransformOptions &Options)
-      : Translator(Manager), Width(Width) {
-    if (Options.ElideGuards) {
-      analysis::IntervalOptions IOpts;
-      IOpts.ClampAllWidth = Width;
-      Intervals = analysis::analyzeIntervals(Manager, Originals, IOpts);
-    }
-  }
+  GuardedBv(TermManager &Manager, unsigned Width, std::string VarPrefix,
+            std::optional<analysis::IntervalSummary> Intervals)
+      : Translator(Manager), Width(Width), VarPrefix(std::move(VarPrefix)),
+        Intervals(std::move(Intervals)) {}
 
 private:
   unsigned Width;
+  std::string VarPrefix;
   std::optional<analysis::IntervalSummary> Intervals;
 
   /// The Int-side interval of \p OriginalTerm (top when elision is off).
@@ -151,27 +151,31 @@ private:
     return Acc;
   }
 
+  Term constant(const BigInt &V) {
+    if (V.minSignedWidth() > Width)
+      return fail("constant " + V.toString() + " does not fit width " +
+                  std::to_string(Width));
+    return Manager.mkBitVecConst(BitVecValue(Width, V));
+  }
+
   Term translateNode(Term T) override {
     Kind K = Manager.kind(T);
     switch (K) {
     case Kind::ConstBool:
       return T;
-    case Kind::ConstInt: {
-      const BigInt &V = Manager.intValue(T);
-      if (V.minSignedWidth() > Width)
-        return fail("constant " + V.toString() + " does not fit width " +
-                    std::to_string(Width));
-      return Manager.mkBitVecConst(BitVecValue(Width, V));
-    }
+    case Kind::ConstInt:
+      return constant(Manager.intValue(T));
+    case Kind::ConstBitVec:
+      return constant(Manager.bitVecValue(T).toSigned());
     case Kind::Variable:
       if (Manager.sort(T).isBool())
         return T;
-      if (Manager.sort(T).isInt()) {
+      if (Manager.sort(T).isInt() || Manager.sort(T).isBitVec()) {
         // The width is part of the name so the same constraint can be
         // transformed at several widths within one manager.
-        Term Mapped = Manager.mkVariable(
-            "staub.bv" + std::to_string(Width) + "!" + Manager.variableName(T),
-            Sort::bitVec(Width));
+        Term Mapped = Manager.mkVariable(VarPrefix + std::to_string(Width) +
+                                             "!" + Manager.variableName(T),
+                                         Sort::bitVec(Width));
         VariableMap.emplace(T.id(), Mapped);
         return Mapped;
       }
@@ -181,6 +185,7 @@ private:
       break;
     }
 
+    // A copy: creating terms below may reallocate the child spans.
     std::vector<Term> Orig = Manager.childrenCopy(T);
     std::vector<Term> Children;
     for (Term Child : Orig) {
@@ -191,7 +196,10 @@ private:
     }
 
     switch (K) {
-    // Boolean structure is preserved.
+    // Boolean structure is preserved, and so are the comparisons of a
+    // narrowed bitvector constraint: the unsigned ones are not preserved
+    // by signed narrowing (wide -1 is a huge unsigned value), which the
+    // verification step always catches.
     case Kind::Not:
     case Kind::And:
     case Kind::Or:
@@ -200,9 +208,18 @@ private:
     case Kind::Eq:
     case Kind::Distinct:
     case Kind::Ite:
+    case Kind::BvUle:
+    case Kind::BvUlt:
+    case Kind::BvUge:
+    case Kind::BvUgt:
+    case Kind::BvSle:
+    case Kind::BvSlt:
+    case Kind::BvSge:
+    case Kind::BvSgt:
       return Manager.mkApp(K, Children);
 
     case Kind::Neg:
+    case Kind::BvNeg:
       guard(Kind::BvNegO, {Children[0]}, iv(Orig[0]));
       return Manager.mkApp(Kind::BvNeg, Children);
     case Kind::IntAbs:
@@ -216,10 +233,13 @@ private:
           Manager.mkApp(Kind::BvNeg, std::vector<Term>{Children[0]}),
           Children[0]);
     case Kind::Add:
+    case Kind::BvAdd:
       return foldGuarded(Kind::BvAdd, Kind::BvSAddO, Children, Orig);
     case Kind::Sub:
+    case Kind::BvSub:
       return foldGuarded(Kind::BvSub, Kind::BvSSubO, Children, Orig);
     case Kind::Mul:
+    case Kind::BvMul:
       return foldGuarded(Kind::BvMul, Kind::BvSMulO, Children, Orig);
     case Kind::IntDiv:
       // Semantic difference: SMT-LIB Int div is Euclidean, bvsdiv
@@ -566,11 +586,26 @@ TransformResult staub::transformIntToBv(TermManager &Manager,
                                         unsigned Width,
                                         const TransformOptions &Options) {
   assert(Width >= 1 && "bitvector width must be positive");
-  IntToBv Translator(Manager, Width, Assertions, Options);
+  std::optional<analysis::IntervalSummary> Intervals;
+  if (Options.ElideGuards) {
+    analysis::IntervalOptions IOpts;
+    IOpts.ClampAllWidth = Width;
+    Intervals = analysis::analyzeIntervals(Manager, Assertions, IOpts);
+  }
+  GuardedBv Translator(Manager, Width, "staub.bv", std::move(Intervals));
   TransformResult Result = Translator.run(Assertions);
   Result.Width = Width;
   if (Result.Ok && Options.ElideGuards && Options.Relational)
     relationalElide(Manager, Assertions, Width, Options.Cancel, Result);
+  return Result;
+}
+
+TransformResult staub::narrowBitVectors(TermManager &Manager,
+                                        const std::vector<Term> &Assertions,
+                                        unsigned Width) {
+  GuardedBv Translator(Manager, Width, "wr", std::nullopt);
+  TransformResult Result = Translator.run(Assertions);
+  Result.Width = Width;
   return Result;
 }
 
@@ -612,7 +647,11 @@ bool staub::convertModelBack(const TermManager &Manager,
       return false; // Incomplete bounded model.
     Term Original(OriginalId);
     if (V->isBitVec()) {
-      Unbounded.set(Original, Value(V->asBitVec().toSigned()));
+      Sort OriginalSort = Manager.sort(Original);
+      Unbounded.set(Original,
+                    OriginalSort.isBitVec()
+                        ? Value(V->asBitVec().sext(OriginalSort.bitVecWidth()))
+                        : Value(V->asBitVec().toSigned()));
       continue;
     }
     if (V->isFp()) {

@@ -44,11 +44,6 @@ struct TransformOptions {
   /// elide-and-revalidate keeps the final state exactly reproducible by
   /// staub-lint's one-pass fact-validity rule. Requires ElideGuards.
   bool Relational = true;
-  /// Allow the escalation driver to retry this translation at larger
-  /// widths when a bounded-unsat core blames only the overflow guards
-  /// (incremental width-escalation ladder). Off reproduces the paper's
-  /// revert-on-unsat behaviour exactly.
-  bool Escalate = true;
   /// The query's token (not owned; null = never stops). Relational
   /// elision polls it between candidates and, once it fires, keeps every
   /// guard it has not yet elided.
@@ -88,6 +83,15 @@ TransformResult transformIntToBv(TermManager &Manager,
                                  unsigned Width,
                                  const TransformOptions &Options = {});
 
+/// Rebuilds a uniform-width bitvector constraint at \p Width bits (the
+/// width-reduction lane, Sec. 6.4) with the Int->BV translator: constants
+/// map through their signed value, every add/sub/mul/neg gets the same
+/// overflow guard (none elided), comparisons keep their operator, and
+/// convertModelBack sign-extends the narrow model back.
+TransformResult narrowBitVectors(TermManager &Manager,
+                                 const std::vector<Term> &Assertions,
+                                 unsigned Width);
+
 /// Translates Real assertions to floating point with the given format.
 TransformResult transformRealToFp(TermManager &Manager,
                                   const std::vector<Term> &Assertions,
@@ -100,9 +104,10 @@ TransformResult transformRealToFp(TermManager &Manager,
 FpFormat chooseFpFormat(unsigned MagnitudeBits, unsigned PrecisionBits,
                         bool RoundUpToStandard = false);
 
-/// phi^-1: maps a bounded model back to the unbounded theory. Returns
-/// false when a value has no preimage (NaN or infinities, Sec. 4.1
-/// footnote) — a semantic difference by construction.
+/// phi^-1: maps a bounded model back to the unbounded theory (a narrowed
+/// bitvector variable sign-extends back to its own width). Returns false
+/// when a value has no preimage (NaN or infinities, Sec. 4.1 footnote) —
+/// a semantic difference by construction.
 bool convertModelBack(const TermManager &Manager,
                       const TransformResult &Transform, const Model &Bounded,
                       Model &Unbounded);

@@ -6,9 +6,8 @@
 
 #include "staub/WidthReduction.h"
 
+#include "staub/Staub.h"
 #include "support/Timer.h"
-
-#include <cassert>
 
 using namespace staub;
 
@@ -90,142 +89,6 @@ FragmentScan scanFragment(const TermManager &Manager,
   return Scan;
 }
 
-/// Rebuilds the constraint at \p Narrow bits, mapping constants through
-/// their signed value and inserting the same overflow guards STAUB's
-/// Int->BV translation uses (narrow arithmetic must not wrap where wide
-/// arithmetic would not).
-class NarrowRebuilder {
-public:
-  NarrowRebuilder(TermManager &Manager, unsigned Narrow)
-      : Manager(Manager), Narrow(Narrow) {}
-
-  WidthReductionResult run(const std::vector<Term> &Assertions) {
-    WidthReductionResult Result;
-    for (Term A : Assertions) {
-      Term R = rebuild(A);
-      if (!Failed.empty()) {
-        Result.FailReason = Failed;
-        return Result;
-      }
-      Result.Assertions.push_back(R);
-    }
-    Result.Assertions.insert(Result.Assertions.end(), Guards.begin(),
-                             Guards.end());
-    Result.VariableMap = VariableMap;
-    Result.Ok = true;
-    return Result;
-  }
-
-private:
-  TermManager &Manager;
-  unsigned Narrow;
-  std::unordered_map<uint32_t, Term> Cache;
-  std::unordered_map<uint32_t, Term> VariableMap;
-  std::vector<Term> Guards;
-  std::string Failed;
-
-  Term fail(const std::string &Reason) {
-    if (Failed.empty())
-      Failed = Reason;
-    return Term();
-  }
-
-  void guard(Kind Predicate, std::vector<Term> Args) {
-    Guards.push_back(Manager.mkNot(Manager.mkApp(Predicate, Args)));
-  }
-
-  Term rebuild(Term T) {
-    if (!Failed.empty())
-      return Term();
-    auto Found = Cache.find(T.id());
-    if (Found != Cache.end())
-      return Found->second;
-    Term Result = rebuildNode(T);
-    if (!Failed.empty())
-      return Term();
-    Cache.emplace(T.id(), Result);
-    return Result;
-  }
-
-  Term rebuildNode(Term T) {
-    Kind K = Manager.kind(T);
-    switch (K) {
-    case Kind::ConstBool:
-      return T;
-    case Kind::ConstBitVec: {
-      BigInt Value = Manager.bitVecValue(T).toSigned();
-      if (Value.minSignedWidth() > Narrow)
-        return fail("constant does not fit the narrow width");
-      return Manager.mkBitVecConst(BitVecValue(Narrow, Value));
-    }
-    case Kind::Variable: {
-      if (Manager.sort(T).isBool())
-        return T;
-      Term Mapped = Manager.mkVariable(
-          "wr" + std::to_string(Narrow) + "!" + Manager.variableName(T),
-          Sort::bitVec(Narrow));
-      VariableMap.emplace(T.id(), Mapped);
-      return Mapped;
-    }
-    default:
-      break;
-    }
-
-    std::vector<Term> Children;
-    for (Term Child : Manager.childrenCopy(T)) {
-      Term R = rebuild(Child);
-      if (!Failed.empty())
-        return Term();
-      Children.push_back(R);
-    }
-
-    switch (K) {
-    case Kind::Not:
-    case Kind::And:
-    case Kind::Or:
-    case Kind::Xor:
-    case Kind::Implies:
-    case Kind::Ite:
-    case Kind::Eq:
-    case Kind::Distinct:
-      return Manager.mkApp(K, Children);
-    case Kind::BvNeg:
-      guard(Kind::BvNegO, {Children[0]});
-      return Manager.mkApp(K, Children);
-    case Kind::BvAdd:
-    case Kind::BvSub:
-    case Kind::BvMul: {
-      Kind GuardKind = K == Kind::BvAdd   ? Kind::BvSAddO
-                       : K == Kind::BvSub ? Kind::BvSSubO
-                                          : Kind::BvSMulO;
-      Term Acc = Children[0];
-      for (size_t I = 1; I < Children.size(); ++I) {
-        guard(GuardKind, {Acc, Children[I]});
-        Acc = Manager.mkApp(K, std::vector<Term>{Acc, Children[I]});
-      }
-      return Acc;
-    }
-    // Unsigned comparisons are NOT preserved by the signed narrowing
-    // (e.g. wide -1 is a huge unsigned value; narrow -1 is small only
-    // relative to the narrow modulus — order against non-negative values
-    // is preserved, but we keep it conservative and map them to their
-    // signed counterparts only when the verification step can catch any
-    // divergence, which it always can).
-    case Kind::BvUle:
-    case Kind::BvUlt:
-    case Kind::BvUge:
-    case Kind::BvUgt:
-    case Kind::BvSle:
-    case Kind::BvSlt:
-    case Kind::BvSge:
-    case Kind::BvSgt:
-      return Manager.mkApp(K, Children);
-    default:
-      return fail("unsupported operator in narrow rebuild");
-    }
-  }
-};
-
 } // namespace
 
 WidthReductionResult
@@ -244,11 +107,7 @@ staub::reduceBvWidths(TermManager &Manager,
     Result.FailReason = "no width saved";
     return Result;
   }
-  NarrowRebuilder Rebuilder(Manager, Narrow);
-  Result = Rebuilder.run(Assertions);
-  Result.OriginalWidth = Scan.Width;
-  Result.ReducedWidth = Narrow;
-  return Result;
+  return {narrowBitVectors(Manager, Assertions, Narrow), Scan.Width, Narrow};
 }
 
 SolveResult staub::runWidthReduction(TermManager &Manager,
@@ -270,25 +129,11 @@ SolveResult staub::runWidthReduction(TermManager &Manager,
     Out.TimeSeconds = Timer.elapsedSeconds();
     return Out;
   }
-  // Sign-extend the narrow model back to the wide width and verify.
-  Model Wide;
-  for (const auto &[OriginalId, NarrowVar] : Narrowed.VariableMap) {
-    const Value *V = NarrowResult.TheModel.get(NarrowVar);
-    if (!V || !V->isBitVec()) {
-      Out.TimeSeconds = Timer.elapsedSeconds();
-      return Out;
-    }
-    Wide.set(Term(OriginalId),
-             Value(V->asBitVec().sext(Narrowed.OriginalWidth)));
-  }
-  for (const auto &[VarId, V] : NarrowResult.TheModel) {
-    Term Var(VarId);
-    if (Manager.kind(Var) == Kind::Variable && Manager.sort(Var).isBool())
-      Wide.set(Var, V);
-  }
-  if (evaluatesToTrue(Manager, Manager.mkAnd(Assertions), Wide)) {
+  // convertModelBack sign-extends the narrow model to the wide width.
+  if (std::optional<Model> Verified = verifyBoundedModel(
+          Manager, Assertions, Narrowed, NarrowResult.TheModel)) {
     Out.Status = SolveStatus::Sat;
-    Out.TheModel = std::move(Wide);
+    Out.TheModel = std::move(*Verified);
   }
   Out.TimeSeconds = Timer.elapsedSeconds();
   return Out;

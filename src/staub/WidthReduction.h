@@ -10,9 +10,10 @@
 /// wide bitvector constraints to a narrower width (in the spirit of Jonáš
 /// & Strejček's bit-width reductions, which the paper cites as evidence
 /// the idea can pay off). The same underapproximate-then-verify discipline
-/// applies: the narrow constraint's model is sign-extended back and
-/// checked against the original with the exact evaluator; unsat narrow
-/// results revert.
+/// applies, through the pipeline's own guarded translator
+/// (narrowBitVectors) and model check (verifyBoundedModel): the narrow
+/// constraint's model is sign-extended back and checked against the
+/// original with the exact evaluator; unsat narrow results revert.
 ///
 /// Supported fragment: uniform-width arithmetic/comparison constraints
 /// (bvadd/bvsub/bvmul/bvneg, signed and unsigned comparisons, =/distinct,
@@ -25,20 +26,16 @@
 #define STAUB_STAUB_WIDTHREDUCTION_H
 
 #include "solver/Solver.h"
-
-#include <unordered_map>
+#include "staub/Transform.h"
 
 namespace staub {
 
-/// Result of rebuilding a constraint at a narrower width.
-struct WidthReductionResult {
-  bool Ok = false;
-  std::string FailReason;
+/// Result of rebuilding a constraint at a narrower width: the narrow
+/// translation (VariableMap maps each original variable to its narrow
+/// one) plus both widths.
+struct WidthReductionResult : TransformResult {
   unsigned OriginalWidth = 0;
   unsigned ReducedWidth = 0;
-  std::vector<Term> Assertions;
-  /// Original variable id -> narrow variable.
-  std::unordered_map<uint32_t, Term> VariableMap;
 };
 
 /// Infers a candidate reduced width for a uniform-width QF_BV constraint

@@ -6,6 +6,7 @@
 
 #include "staub/Staub.h"
 
+#include "benchgen/Generators.h"
 #include "smtlib/Parser.h"
 #include "smtlib/Printer.h"
 #include "staub/Transform.h"
@@ -118,6 +119,47 @@ TEST(TransformTest, ChooseFpFormat) {
   EXPECT_EQ(Std, FpFormat::float16());
   FpFormat Big = chooseFpFormat(60, 50, true);
   EXPECT_EQ(Big, FpFormat::float64());
+}
+
+TEST(TransformTest, ToolsTranslateAsRunStaubDoes) {
+  // One translation path: what the tools emit and lint is exactly what
+  // runStaub solves with presolve off, under each width and guard policy.
+  TermManager M;
+  BenchConfig Config;
+  Config.Seed = 42;
+  Config.Count = 4;
+  std::vector<GeneratedConstraint> Inputs = generateCorrelatedSuite(M, Config);
+  for (BenchLogic Logic : {BenchLogic::QF_LIA, BenchLogic::QF_NIA,
+                           BenchLogic::QF_LRA, BenchLogic::QF_NRA})
+    for (GeneratedConstraint &C : generateSuite(M, Logic, Config))
+      Inputs.push_back(std::move(C));
+  auto Backend = createMiniSmtSolver();
+  StaubOptions Default;
+  Default.Presolve = false;
+  Default.Escalate = false; // The ladder reports the width it verified at.
+  Default.Solve.TimeoutSeconds = 0.05;
+  StaubOptions Intervals = Default;
+  Intervals.Relational = false;
+  StaubOptions Fixed = Default;
+  Fixed.FixedWidth = 16;
+  unsigned Translated = 0, RelationalElided = 0;
+  for (const StaubOptions &Options : {Default, Intervals, Fixed}) {
+    for (const GeneratedConstraint &C : Inputs) {
+      SCOPED_TRACE(C.Name);
+      TransformResult T = translateAsParsed(M, C.Assertions, Options);
+      StaubOutcome Outcome = runStaub(M, C.Assertions, *Backend, Options);
+      ASSERT_EQ(T.Ok, Outcome.Path != StaubPath::TranslationFailed);
+      if (!T.Ok)
+        continue;
+      ++Translated;
+      RelationalElided += T.RelationalGuardsElided;
+      EXPECT_EQ(T.Assertions, Outcome.BoundedAssertions);
+      EXPECT_EQ(T.Width, Outcome.ChosenWidth);
+      EXPECT_EQ(T.Format, Outcome.ChosenFormat);
+    }
+  }
+  EXPECT_GT(Translated, 2 * Inputs.size());
+  EXPECT_GT(RelationalElided, 0u); // The correlated suite needs octagons.
 }
 
 //===--------------------------------------------------------------------===//

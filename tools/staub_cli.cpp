@@ -10,7 +10,9 @@
 /// theory arbitrage (embedded solving + underapproximation checking,
 /// Sec. 5.1 "Implementation") or emit the transformed bounded constraint
 /// for use with any external SMT-LIB-compliant solver (the terminal
-/// output flag).
+/// output flag). --emit-bounded and --lint translate exactly as the solve
+/// path does under the same flags (translateAsParsed), minus presolve:
+/// a static verdict would leave no bounded constraint to print.
 ///
 /// Usage:
 ///   staub [options] [file.smt2]        (stdin when no file)
@@ -49,8 +51,6 @@
 #include "smtlib/Parser.h"
 #include "smtlib/Printer.h"
 #include "staub/Staub.h"
-#include "staub/BoundInference.h"
-#include "staub/Transform.h"
 #include "z3adapter/Z3Solver.h"
 
 #include <cstdio>
@@ -192,38 +192,17 @@ int main(int Argc, char **Argv) {
   if (Cli.EmitBounded || Cli.Lint) {
     // Translation only: emit the bounded constraint for an external
     // solver, or statically lint it (analysis/Lint.h) without solving.
-    bool IsInt = false;
-    for (Term A : Assertions)
-      for (Term V : Manager.collectVariables(A))
-        if (Manager.sort(V).isInt())
-          IsInt = true;
-    TransformResult T;
-    Script Out;
-    if (IsInt) {
-      unsigned Width;
-      if (Cli.FixedWidth) {
-        Width = *Cli.FixedWidth;
-      } else {
-        IntBounds Bounds = inferIntBounds(Manager, Assertions);
-        Width = Cli.RootWidth ? Bounds.RootWidth : Bounds.VariableAssumption;
-      }
-      T = transformIntToBv(Manager, Assertions, Width);
-      Out.Logic = "QF_BV";
-    } else {
-      RealBounds Bounds = inferRealBounds(Manager, Assertions);
-      T = transformRealToFp(
-          Manager, Assertions,
-          chooseFpFormat(Bounds.RootMagnitude, Bounds.RootPrecision));
-      Out.Logic = "QF_FP";
-    }
+    TransformResult T = translateAsParsed(Manager, Assertions, Options);
     if (!T.Ok) {
       std::fprintf(stderr, "error: translation failed: %s\n",
                    T.FailReason.c_str());
       return 2;
     }
+    bool ToBitVectors = T.Width != 0; // Only the Int lane has a width.
     if (Cli.Lint) {
       analysis::LintOptions LOpts;
-      LOpts.RequireGuards = IsInt; // The FP lane emits no guards.
+      LOpts.RequireGuards = ToBitVectors; // The FP lane emits no guards.
+      LOpts.Relational = Options.Relational;
       analysis::LintReport Report = analysis::lintTranslation(
           Manager, Assertions, T.Assertions, T.VariableMap, LOpts);
       if (Report.Findings.empty())
@@ -232,6 +211,8 @@ int main(int Argc, char **Argv) {
         std::fputs(Report.toString().c_str(), stdout);
       return Report.clean() ? 0 : 1;
     }
+    Script Out;
+    Out.Logic = ToBitVectors ? "QF_BV" : "QF_FP";
     Out.Assertions = T.Assertions;
     Out.HasCheckSat = true;
     std::fputs(printScript(Manager, Out).c_str(), stdout);

@@ -8,13 +8,14 @@
 /// staub-lint: statically verifies STAUB translation output without any
 /// solving (analysis/Lint.h). Two modes, chosen per input by sort:
 ///
-///  * Unbounded input (Int/Real variables): run the pipeline's own bound
-///    inference and translation, then lint the *translation* — guard
-///    discipline (every overflow-capable bitvector op guarded or proven
-///    safe by the interval engine), whole-DAG well-sortedness, guard
-///    sanity, and phi^-1 totality of the variable map.
+///  * Unbounded input (Int or Real): translate it as the pipeline does
+///    under default options (translateAsParsed), then lint the
+///    *translation* — guard discipline (every overflow-capable bitvector
+///    op guarded or proven safe by the interval engine), whole-DAG
+///    well-sortedness, guard sanity, and phi^-1 totality of the variable
+///    map.
 ///
-///  * Bounded input (BV/FP variables): lint the script structurally.
+///  * Bounded input (no Int or Real term): lint the script structurally.
 ///    Foreign scripts carry no guard contract, so guard discipline is
 ///    off unless --require-guards is given.
 ///
@@ -38,8 +39,7 @@
 #include "analysis/Lint.h"
 #include "analysis/Presolve.h"
 #include "smtlib/Parser.h"
-#include "staub/BoundInference.h"
-#include "staub/Transform.h"
+#include "staub/Staub.h"
 
 #include <cstdio>
 #include <cstring>
@@ -89,38 +89,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
   return true;
 }
 
-/// Which mode the input's variable sorts put us in.
-enum class InputKind { Int, Real, Bounded, Mixed, Empty };
-
-InputKind classify(const TermManager &Manager,
-                   const std::vector<Term> &Assertions) {
-  bool HasInt = false, HasReal = false, HasBounded = false;
-  for (Term A : Assertions)
-    for (Term V : Manager.collectVariables(A)) {
-      Sort S = Manager.sort(V);
-      HasInt |= S.isInt();
-      HasReal |= S.isReal();
-      HasBounded |= S.isBitVec() || S.isFloatingPoint();
-    }
-  if (HasBounded && !HasInt && !HasReal)
-    return InputKind::Bounded;
-  if (HasInt && !HasReal && !HasBounded)
-    return InputKind::Int;
-  if (HasReal && !HasInt && !HasBounded)
-    return InputKind::Real;
-  if (!HasInt && !HasReal && !HasBounded)
-    return InputKind::Empty;
-  return InputKind::Mixed;
-}
-
 /// Lints one parsed script. Returns 0 clean, 1 lint errors, 2 when the
 /// input cannot be processed at all.
 int lintOne(TermManager &Manager, const std::vector<Term> &Assertions,
             const std::string &Label, const CliOptions &Cli) {
-  InputKind TheKind = classify(Manager, Assertions);
+  InputSort Sort = selectSort(Manager, Assertions);
+  if (Sort == InputSort::Mixed) {
+    std::fprintf(stderr, "%s: error: mixed Int/Real/bounded sorts are "
+                         "outside the translation contract\n",
+                 Label.c_str());
+    return 2;
+  }
 
-  if (Cli.ShowPresolve &&
-      (TheKind == InputKind::Int || TheKind == InputKind::Real)) {
+  if (Cli.ShowPresolve && Sort != InputSort::Bounded) {
     analysis::PresolveResult Pre = analysis::presolve(Manager, Assertions);
     if (!Cli.Quiet) {
       std::printf("%s: presolve verdict=%s rounds=%u dropped=%u "
@@ -135,54 +116,24 @@ int lintOne(TermManager &Manager, const std::vector<Term> &Assertions,
     }
   }
 
+  analysis::LintOptions LOpts;
   analysis::LintReport Report;
-  switch (TheKind) {
-  case InputKind::Bounded:
-  case InputKind::Empty: {
-    analysis::LintOptions LOpts;
+  if (Sort == InputSort::Bounded) {
     LOpts.RequireGuards = Cli.RequireGuardsOnBounded;
     Report = analysis::lintBounded(Manager, Assertions, LOpts);
-    break;
-  }
-  case InputKind::Int: {
-    IntBounds Bounds = inferIntBounds(Manager, Assertions);
-    TransformResult T =
-        transformIntToBv(Manager, Assertions, Bounds.VariableAssumption);
+  } else {
+    TransformResult T = translateAsParsed(Manager, Assertions, {});
     if (!T.Ok) {
       std::fprintf(stderr, "%s: error: translation failed: %s\n",
                    Label.c_str(), T.FailReason.c_str());
       return 2;
     }
     std::vector<Term> Bounded = T.Assertions;
-    if (Cli.DropGuards && Bounded.size() > Assertions.size())
-      Bounded.resize(Assertions.size());
-    analysis::LintOptions LOpts;
-    LOpts.RequireGuards = true;
+    if (Cli.DropGuards)
+      Bounded.resize(T.TranslatedCount);
+    LOpts.RequireGuards = Sort == InputSort::Int; // FP emits no guards.
     Report = analysis::lintTranslation(Manager, Assertions, Bounded,
                                        T.VariableMap, LOpts);
-    break;
-  }
-  case InputKind::Real: {
-    RealBounds Bounds = inferRealBounds(Manager, Assertions);
-    TransformResult T = transformRealToFp(
-        Manager, Assertions,
-        chooseFpFormat(Bounds.RootMagnitude, Bounds.RootPrecision));
-    if (!T.Ok) {
-      std::fprintf(stderr, "%s: error: translation failed: %s\n",
-                   Label.c_str(), T.FailReason.c_str());
-      return 2;
-    }
-    analysis::LintOptions LOpts;
-    LOpts.RequireGuards = false; // FP translation emits no guards.
-    Report = analysis::lintTranslation(Manager, Assertions, T.Assertions,
-                                       T.VariableMap, LOpts);
-    break;
-  }
-  case InputKind::Mixed:
-    std::fprintf(stderr, "%s: error: mixed Int/Real/bounded sorts are "
-                         "outside the translation contract\n",
-                 Label.c_str());
-    return 2;
   }
 
   if (!Cli.Quiet) {
