@@ -6,6 +6,7 @@
 
 #include "solver/BitBlaster.h"
 
+#include <bit>
 #include <cassert>
 
 using namespace staub;
@@ -56,6 +57,45 @@ Lit BitBlaster::mkXor(Lit A, Lit B) {
   Solver.addTernary(~Out, ~A, ~B);
   Solver.addTernary(Out, ~A, B);
   Solver.addTernary(Out, A, ~B);
+  return Out;
+}
+
+Lit BitBlaster::mkXor3(Lit A, Lit B, Lit C) {
+  // A constant or repeated input folds through the 2-input gate.
+  const Lit In[] = {A, B, C};
+  for (int I = 0; I < 3; ++I) {
+    Lit X = In[I], Y = In[(I + 1) % 3], Z = In[(I + 2) % 3];
+    if (X.var() == TrueLit.var() || X.var() == Y.var())
+      return mkXor(mkXor(X, Y), Z);
+  }
+  // One clause per input assignment, forcing Out to its parity.
+  Lit Out = fresh();
+  for (unsigned Mask = 0; Mask < 8; ++Mask) {
+    bool Odd = std::popcount(Mask) % 2;
+    Solver.addClause({Mask & 1 ? ~A : A, Mask & 2 ? ~B : B,
+                      Mask & 4 ? ~C : C, Odd ? Out : ~Out});
+  }
+  return Out;
+}
+
+Lit BitBlaster::mkMaj(Lit A, Lit B, Lit C) {
+  // A constant input leaves an AND or OR of the others; a repeated one
+  // decides the vote.
+  const Lit In[] = {A, B, C};
+  for (int I = 0; I < 3; ++I) {
+    Lit X = In[I], Y = In[(I + 1) % 3], Z = In[(I + 2) % 3];
+    if (X.var() == TrueLit.var())
+      return X == TrueLit ? mkOr(Y, Z) : mkAnd(Y, Z);
+    if (X.var() == Y.var())
+      return X == Y ? X : Z;
+  }
+  // Any two inputs true force Out; any two false forbid it.
+  Lit Out = fresh();
+  for (int I = 0; I < 3; ++I) {
+    Lit X = In[I], Y = In[(I + 1) % 3];
+    Solver.addTernary(~X, ~Y, Out);
+    Solver.addTernary(X, Y, ~Out);
+  }
   return Out;
 }
 
@@ -115,9 +155,8 @@ BitBlaster::Word BitBlaster::addWords(const Word &A, const Word &B, Lit CarryIn,
   Word Sum(A.size(), falseLit());
   Lit Carry = CarryIn;
   for (size_t I = 0; I < A.size(); ++I) {
-    Lit AxB = mkXor(A[I], B[I]);
-    Sum[I] = mkXor(AxB, Carry);
-    Carry = mkOr(mkAnd(A[I], B[I]), mkAnd(Carry, AxB));
+    Sum[I] = mkXor3(A[I], B[I], Carry);
+    Carry = mkMaj(A[I], B[I], Carry);
   }
   if (CarryOut)
     *CarryOut = Carry;
@@ -209,9 +248,17 @@ Lit BitBlaster::equalWords(const Word &A, const Word &B) {
 }
 
 Lit BitBlaster::ultWords(const Word &A, const Word &B) {
-  // A < B iff the subtraction A - B borrows, i.e. A + ~B + 1 has no carry.
-  Lit Carry = falseLit();
-  addWords(A, notWord(B), TrueLit, &Carry);
+  // A < B iff the subtraction A - B borrows, i.e. A + ~B + 1 carries
+  // nothing out of the top bit: the borrow chain is that sum's carry
+  // chain, complemented, and no difference bit is built. Each gate's
+  // variable is the carry rather than the borrow: the solver tries a
+  // fresh variable false first, and with borrow variables the escalation
+  // ladder's guard refutations took about three times as many conflicts
+  // (DESIGN.md).
+  assert(A.size() == B.size() && "comparison width mismatch");
+  Lit Carry = TrueLit;
+  for (size_t I = 0; I < A.size(); ++I)
+    Carry = mkMaj(A[I], ~B[I], Carry);
   return ~Carry;
 }
 

@@ -12,6 +12,17 @@
 /// restoring dividers, barrel shifters, and mux trees. Encoded nodes are
 /// memoized over the term DAG.
 ///
+/// Adders and comparisons are built from two 3-input gates:
+/// - A full-adder bit is one XOR3 gate (the sum, 8 clauses) and one
+///   majority gate (the carry, 6 clauses): 2 SAT variables and 14 clauses,
+///   where five 2-input gates took 5 variables and 17 clauses.
+/// - `ultWords` (A < B unsigned) is the borrow chain of A - B alone, one
+///   majority gate per bit: 1 variable and 6 clauses, with no difference
+///   bit built. `bvule`/`bvuge`/`bvugt`, the signed comparisons and the
+///   dividers' compare all use it.
+/// A constant or repeated gate input folds through the 2-input gates: a
+/// carry-in of 0 leaves an AND, a carry-in of 1 an OR.
+///
 /// The overflow guards add O(1) or O(W) gates to the operation they guard:
 /// - `bvsaddo`/`bvssubo` are an O(1) sign test on the sum: the operands'
 ///   effective signs agree (the subtrahend's is flipped) and the sum's
@@ -92,6 +103,8 @@ private:
   Lit mkAnd(Lit A, Lit B);
   Lit mkOr(Lit A, Lit B);
   Lit mkXor(Lit A, Lit B);
+  Lit mkXor3(Lit A, Lit B, Lit C);
+  Lit mkMaj(Lit A, Lit B, Lit C); ///< At least two of A, B, C.
   Lit mkIte(Lit Cond, Lit Then, Lit Else);
   Lit mkAndMany(const std::vector<Lit> &Inputs);
   Lit mkOrMany(const std::vector<Lit> &Inputs);

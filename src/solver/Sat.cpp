@@ -12,6 +12,9 @@
 
 using namespace staub;
 
+/// Room a watch list gets on its first push.
+static constexpr uint32_t MinWatchCapacity = 4;
+
 unsigned SatSolver::newVar() {
   ++VarCount;
   Assigns.push_back(LBool::Undef);
@@ -113,12 +116,25 @@ uint32_t SatSolver::allocClause(const Lit *Lits, size_t Size, bool Learnt) {
   return Index;
 }
 
+void SatSolver::pushWatch(unsigned LitIndex, Watcher W) {
+  WatchList &List = Watches[LitIndex];
+  if (List.Size == List.Capacity) {
+    size_t Begin = WatchPool.size();
+    List.Capacity = std::max(2 * List.Capacity, MinWatchCapacity);
+    WatchPool.resize(Begin + List.Capacity);
+    std::copy_n(WatchPool.begin() + List.Begin, List.Size,
+                WatchPool.begin() + Begin);
+    List.Begin = Begin;
+  }
+  WatchPool[List.Begin + List.Size++] = W;
+}
+
 void SatSolver::watchClause(uint32_t Index) {
   const Clause &C = Clauses[Index];
   assert(C.Size >= 2 && "watching a short clause");
   const Lit *Lits = lits(C);
-  Watches[(~Lits[0]).index()].push_back({Index, Lits[1]});
-  Watches[(~Lits[1]).index()].push_back({Index, Lits[0]});
+  pushWatch((~Lits[0]).index(), {Index, Lits[1]});
+  pushWatch((~Lits[1]).index(), {Index, Lits[0]});
 }
 
 bool SatSolver::addLits(const Lit *Lits, size_t Size) {
@@ -177,12 +193,17 @@ int32_t SatSolver::propagate() {
   while (PropagationHead < Trail.size()) {
     Lit P = Trail[PropagationHead++];
     ++Propagations;
-    std::vector<Watcher> &WatchList = Watches[P.index()];
-    size_t Out = 0;
-    for (size_t In = 0; In < WatchList.size(); ++In) {
-      Watcher W = WatchList[In];
+    // The walk addresses P's watchers by index: a push below may move the
+    // pool. It never moves P's own list, which holds the watches of the
+    // false literal ~P, while a new watch is never false.
+    WatchList &List = Watches[P.index()];
+    const size_t Begin = List.Begin;
+    const uint32_t Size = List.Size;
+    uint32_t Out = 0;
+    for (uint32_t In = 0; In < Size; ++In) {
+      Watcher W = WatchPool[Begin + In];
       if (value(W.Blocker) == LBool::True) {
-        WatchList[Out++] = W;
+        WatchPool[Begin + Out++] = W;
         continue;
       }
       const Clause &C = Clauses[W.ClauseIndex];
@@ -193,7 +214,7 @@ int32_t SatSolver::propagate() {
         std::swap(Lits[0], Lits[1]);
       assert(Lits[1] == FalseLit && "watch bookkeeping broken");
       if (value(Lits[0]) == LBool::True) {
-        WatchList[Out++] = {W.ClauseIndex, Lits[0]};
+        WatchPool[Begin + Out++] = {W.ClauseIndex, Lits[0]};
         continue;
       }
       // Look for a replacement watch.
@@ -201,7 +222,7 @@ int32_t SatSolver::propagate() {
       for (size_t K = 2; K < C.Size; ++K) {
         if (value(Lits[K]) != LBool::False) {
           std::swap(Lits[1], Lits[K]);
-          Watches[(~Lits[1]).index()].push_back({W.ClauseIndex, Lits[0]});
+          pushWatch((~Lits[1]).index(), {W.ClauseIndex, Lits[0]});
           FoundWatch = true;
           break;
         }
@@ -209,17 +230,17 @@ int32_t SatSolver::propagate() {
       if (FoundWatch)
         continue;
       // Clause is unit or conflicting.
-      WatchList[Out++] = W;
+      WatchPool[Begin + Out++] = W;
       if (value(Lits[0]) == LBool::False) {
         // Conflict: restore remaining watchers and report.
-        for (size_t K = In + 1; K < WatchList.size(); ++K)
-          WatchList[Out++] = WatchList[K];
-        WatchList.resize(Out);
+        for (uint32_t K = In + 1; K < Size; ++K)
+          WatchPool[Begin + Out++] = WatchPool[Begin + K];
+        List.Size = Out;
         return static_cast<int32_t>(W.ClauseIndex);
       }
       enqueue(Lits[0], static_cast<int32_t>(W.ClauseIndex));
     }
-    WatchList.resize(Out);
+    List.Size = Out;
   }
   return -1;
 }
@@ -375,13 +396,20 @@ void SatSolver::reduceLearnts() {
     FreeClauseSlots.push_back(Candidates[I]);
   }
   LearntCount -= Remove;
-  // Compact the pool in clause order (reused slots sit out of pool order,
-  // so this copies rather than sliding in place) and rebuild all watch
-  // lists.
+  // Compact the literal pool in clause order (reused slots sit out of pool
+  // order, so this copies rather than sliding in place) and rebuild all
+  // watch lists. The watch pool is laid out afresh with every list at its
+  // old capacity, which drops the garbage of moved lists; a list only
+  // loses watchers here, so the rebuild moves none.
   std::vector<Lit> Compacted;
   Compacted.reserve(LitPool.size());
-  for (auto &WatchList : Watches)
-    WatchList.clear();
+  size_t WatchPoolSize = 0;
+  for (WatchList &List : Watches) {
+    List.Begin = WatchPoolSize;
+    List.Size = 0;
+    WatchPoolSize += List.Capacity;
+  }
+  WatchPool.resize(WatchPoolSize);
   for (uint32_t I = 0; I < Clauses.size(); ++I) {
     Clause &C = Clauses[I];
     if (C.Size < 2)

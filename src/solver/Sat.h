@@ -13,6 +13,12 @@
 /// constraints fast, which is the performance gap STAUB's theory
 /// arbitrage exploits.
 ///
+/// Storage is two pools, so clause intake and teardown make no allocation
+/// per clause or per literal: every clause's literals sit back to back in
+/// one literal pool, and every literal's watch list is a slice of one
+/// watch pool (see WatchList for when a list moves and what a push
+/// invalidates).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAUB_SOLVER_SAT_H
@@ -22,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace staub {
@@ -83,6 +90,9 @@ public:
   bool addClause(const std::vector<Lit> &Clause) {
     return addLits(Clause.data(), Clause.size());
   }
+  bool addClause(std::initializer_list<Lit> Clause) {
+    return addLits(Clause.begin(), Clause.size());
+  }
 
   /// Convenience single/double/triple literal clauses.
   bool addUnit(Lit A) { return addLits(&A, 1); }
@@ -143,6 +153,19 @@ private:
     Lit Blocker;
   };
 
+  /// A literal's watch list is the slice [Begin, Begin + Size) of
+  /// WatchPool, with room for Capacity watchers. A push onto a full list
+  /// moves the list to the pool's end at twice its capacity; its old slots
+  /// stay in the pool as garbage until reduceLearnts compacts it. So any
+  /// push may move the pool: it invalidates every pointer or reference
+  /// into WatchPool (indices stay valid), and it moves the pushed-to list
+  /// itself when that list was full.
+  struct WatchList {
+    size_t Begin = 0;
+    uint32_t Size = 0;
+    uint32_t Capacity = 0;
+  };
+
   unsigned VarCount = 0;
   std::vector<Clause> Clauses;
   std::vector<Lit> LitPool; ///< Every clause's literals, back to back.
@@ -150,10 +173,11 @@ private:
   size_t LearntCount = 0;
   std::vector<Lit> AddBuffer;    ///< Scratch for normalizing added clauses.
   std::vector<Lit> LearntBuffer; ///< Scratch for conflict analysis.
-  std::vector<std::vector<Watcher>> Watches; ///< Indexed by literal index.
-  std::vector<LBool> Assigns;                ///< Indexed by variable.
-  std::vector<int> Levels;                   ///< Decision level per variable.
-  std::vector<int32_t> Reasons;              ///< Clause index or -1.
+  std::vector<Watcher> WatchPool; ///< Every watch list, in slices.
+  std::vector<WatchList> Watches; ///< Indexed by literal index.
+  std::vector<LBool> Assigns;     ///< Indexed by variable.
+  std::vector<int> Levels;        ///< Decision level per variable.
+  std::vector<int32_t> Reasons;   ///< Clause index or -1.
   std::vector<Lit> Trail;
   std::vector<size_t> TrailLimits;
   size_t PropagationHead = 0;
@@ -195,6 +219,8 @@ private:
   bool addLits(const Lit *Lits, size_t Size);
   uint32_t allocClause(const Lit *Lits, size_t Size, bool Learnt);
   void watchClause(uint32_t Index);
+  /// Appends \p W to the watch list of the literal with index \p LitIndex.
+  void pushWatch(unsigned LitIndex, Watcher W);
 };
 
 } // namespace staub

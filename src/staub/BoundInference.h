@@ -66,12 +66,13 @@ IntBounds inferIntBounds(
     const std::unordered_map<uint32_t, analysis::Interval> *ContractedRanges =
         nullptr);
 
-/// Real abstract interpretation.
+/// Real abstract interpretation. The default caps are the ones the
+/// pipeline passes.
 RealBounds
 inferRealBounds(const TermManager &Manager,
                 const std::vector<Term> &Assertions,
-                unsigned MagnitudeCap = config::DefaultMagnitudeCap,
-                unsigned PrecisionCap = config::DefaultPrecisionCap);
+                unsigned MagnitudeCap = config::DefaultWidthCap,
+                unsigned PrecisionCap = config::RealPrecisionCap);
 
 } // namespace staub
 

@@ -28,12 +28,6 @@ inline constexpr unsigned DefaultWidthCap = 64;
 /// solve of its width.
 inline constexpr unsigned EscalationStepBits = 4;
 
-/// Default cap on inferred floating-point magnitude bits.
-inline constexpr unsigned DefaultMagnitudeCap = 64;
-
-/// Default cap on inferred floating-point precision bits.
-inline constexpr unsigned DefaultPrecisionCap = 64;
-
 /// Largest significand the FP format chooser will select: quad precision
 /// (1 hidden + 112 stored fraction bits).
 inline constexpr unsigned MaxSignificandBits = 113;

@@ -85,22 +85,22 @@ protected:
 /// same rewrite with constants read as signed values. Every
 /// add/sub/mul/neg is guarded by its overflow predicate over the same
 /// ordered operands as the operation itself, which lets the bit-blaster
-/// encode the pair once (DESIGN.md). With \p Intervals (the Int-side
-/// assertions analyzed with every Int node clamped to the signed range of
-/// the width — the guarded-or-proven invariant makes that clamp a fact in
-/// any model that survives the remaining guards), each guard whose
-/// operand intervals prove no overflow is dropped before solving.
+/// encode the pair once (DESIGN.md). With non-null \p Intervals (the
+/// Int-side assertions analyzed with every Int node clamped to the signed
+/// range of the width — the guarded-or-proven invariant makes that clamp
+/// a fact in any model that survives the remaining guards), each guard
+/// whose operand intervals prove no overflow is dropped before solving.
 class GuardedBv : public Translator {
 public:
   GuardedBv(TermManager &Manager, unsigned Width, std::string VarPrefix,
-            std::optional<analysis::IntervalSummary> Intervals)
+            const analysis::IntervalSummary *Intervals)
       : Translator(Manager), Width(Width), VarPrefix(std::move(VarPrefix)),
-        Intervals(std::move(Intervals)) {}
+        Intervals(Intervals) {}
 
 private:
   unsigned Width;
   std::string VarPrefix;
-  std::optional<analysis::IntervalSummary> Intervals;
+  const analysis::IntervalSummary *Intervals;
 
   /// The Int-side interval of \p OriginalTerm (top when elision is off).
   Interval iv(Term OriginalTerm) const {
@@ -388,9 +388,12 @@ struct GuardCandidate {
 /// which is what makes early elisions need revalidation. A stop on
 /// \p Cancel ends the pass between candidates with the guards elided so
 /// far; every intermediate state of the pass already satisfies that rule,
-/// and keeping a guard is always sound.
+/// and keeping a guard is always sound. \p Intervals is the summary of
+/// \p Originals under the width clamp that classic elision used.
 void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
-                     unsigned Width, const CancellationToken *Cancel,
+                     unsigned Width,
+                     const analysis::IntervalSummary &Intervals,
+                     const CancellationToken *Cancel,
                      TransformResult &Result) {
   std::vector<analysis::RelFact> Facts =
       analysis::harvestRelationalFacts(Manager, Originals);
@@ -418,11 +421,6 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
   for (const auto &[OrigId, Mapped] : Result.VariableMap)
     Inverse.emplace(Mapped.id(), Term(OrigId));
 
-  // Int-side intervals under the same width clamp classic elision used.
-  analysis::IntervalOptions IOpts;
-  IOpts.ClampAllWidth = Width;
-  analysis::IntervalSummary Intervals =
-      analysis::analyzeIntervals(Manager, Originals, IOpts);
   Interval WidthRange = Interval::range(analysis::widthRangeLo(Width),
                                         analysis::widthRangeHi(Width));
 
@@ -592,18 +590,20 @@ TransformResult staub::transformIntToBv(TermManager &Manager,
     IOpts.ClampAllWidth = Width;
     Intervals = analysis::analyzeIntervals(Manager, Assertions, IOpts);
   }
-  GuardedBv Translator(Manager, Width, "staub.bv", std::move(Intervals));
+  GuardedBv Translator(Manager, Width, "staub.bv",
+                       Intervals ? &*Intervals : nullptr);
   TransformResult Result = Translator.run(Assertions);
   Result.Width = Width;
   if (Result.Ok && Options.ElideGuards && Options.Relational)
-    relationalElide(Manager, Assertions, Width, Options.Cancel, Result);
+    relationalElide(Manager, Assertions, Width, *Intervals, Options.Cancel,
+                    Result);
   return Result;
 }
 
 TransformResult staub::narrowBitVectors(TermManager &Manager,
                                         const std::vector<Term> &Assertions,
                                         unsigned Width) {
-  GuardedBv Translator(Manager, Width, "wr", std::nullopt);
+  GuardedBv Translator(Manager, Width, "wr", nullptr);
   TransformResult Result = Translator.run(Assertions);
   Result.Width = Width;
   return Result;

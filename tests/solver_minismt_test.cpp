@@ -287,6 +287,100 @@ TEST(MiniSmtBvTest, GuardReusesGuardedCircuit) {
   }
 }
 
+TEST(MiniSmtBvTest, AdderAndComparisonAreCompact) {
+  // A full-adder bit is one XOR3 and one majority gate, and an unsigned
+  // comparison is its borrow chain alone, one majority per bit. Each pair
+  // of blasts differs in one circuit only: a second adder fed by the
+  // first, or a second comparison. Five 2-input gates per adder bit, or a
+  // full subtractor per comparison, would break both limits.
+  for (unsigned Width : {8u, 16u, 32u, 64u}) {
+    TermManager M;
+    Sort S = Sort::bitVec(Width);
+    Term X = M.mkVariable("x", S), Y = M.mkVariable("y", S);
+    Term Z = M.mkVariable("z", S);
+    Term Sum = M.mkApp(Kind::BvAdd, std::vector<Term>{X, Y});
+    Term SumPlusX = M.mkApp(Kind::BvAdd, std::vector<Term>{Sum, X});
+    EXPECT_LE(blastedVars(M, {M.mkEq(Z, SumPlusX)}),
+              blastedVars(M, {M.mkEq(Z, Sum)}) + 2 * Width + 2)
+        << "bvadd at width " << Width;
+    Term Less = M.mkApp(Kind::BvUlt, std::vector<Term>{X, Y});
+    Term Greater = M.mkApp(Kind::BvUlt, std::vector<Term>{Y, X});
+    EXPECT_LE(blastedVars(M, {Less, Greater}),
+              blastedVars(M, {Less}) + Width + 2)
+        << "bvult at width " << Width;
+  }
+}
+
+/// Blasts r = Op(x, y), or r = Op(x) for the unary bvneg, with x and y
+/// bound to \p A and \p B by equalities and r free, and checks the model
+/// against the exact evaluator.
+void expectCircuitMatchesEvaluator(Kind Op, unsigned Width, int64_t A,
+                                   int64_t B) {
+  TermManager M;
+  Sort S = Sort::bitVec(Width);
+  Term X = M.mkVariable("x", S), Y = M.mkVariable("y", S);
+  Term Circuit = Op == Kind::BvNeg
+                     ? M.mkApp(Op, std::vector<Term>{X})
+                     : M.mkApp(Op, std::vector<Term>{X, Y});
+  Term R = M.mkVariable("r", M.sort(Circuit));
+  std::vector<Term> Assertions = {
+      M.mkEq(X, M.mkBitVecConst(BitVecValue(Width, A))),
+      M.mkEq(Y, M.mkBitVecConst(BitVecValue(Width, B))), M.mkEq(R, Circuit)};
+  SatSolver Sat;
+  BitBlaster Blaster(M, Sat);
+  for (Term Assertion : Assertions)
+    Blaster.assertTrue(Assertion);
+  ASSERT_EQ(Sat.solve(), SatStatus::Sat);
+  Model Found = Blaster.extractModel({X, Y, R});
+  EXPECT_TRUE(evaluatesToTrue(M, M.mkAnd(Assertions), Found))
+      << kindName(Op) << "(" << A << ", " << B << ") at width " << Width
+      << ": r = " << Found.get(R)->toString();
+}
+
+TEST(MiniSmtBvTest, AdderAndComparisonCircuitsMatchExactSemantics) {
+  // Every circuit built on the full adder or the borrow chain, on every
+  // operand pair up to 5 bits. Operands are bound by equalities, not
+  // constants, so the circuits do not fold away.
+  const Kind Ops[] = {Kind::BvAdd,  Kind::BvSub,  Kind::BvNeg,  Kind::BvMul,
+                      Kind::BvUlt,  Kind::BvUle,  Kind::BvUgt,  Kind::BvUge,
+                      Kind::BvSlt,  Kind::BvSle,  Kind::BvSgt,  Kind::BvSge,
+                      Kind::BvUDiv, Kind::BvURem, Kind::BvSDiv, Kind::BvSRem};
+  for (unsigned Width = 1; Width <= 5; ++Width)
+    for (Kind Op : Ops)
+      for (int64_t A = 0; A < (int64_t(1) << Width); ++A)
+        for (int64_t B = 0; B < (int64_t(1) << Width); ++B)
+          expectCircuitMatchesEvaluator(Op, Width, A, B);
+}
+
+TEST(MiniSmtBvTest, ComparisonsAreTheBorrowOfTheWidenedSubtraction) {
+  // Symbolic proofs: x < y exactly when the (W+1)-bit subtraction of the
+  // zero-extended (bvult) or sign-extended (bvslt) operands borrows, i.e.
+  // sets bit W. The comparison's borrow chain and the subtractor's carry
+  // chain are blasted separately.
+  auto Solver = createMiniSmtSolver();
+  SolverOptions Options;
+  Options.TimeoutSeconds = 60;
+  for (unsigned Width = 1; Width <= 12; ++Width) {
+    for (bool Signed : {false, true}) {
+      TermManager M;
+      Sort S = Sort::bitVec(Width);
+      Term X = M.mkVariable("x", S), Y = M.mkVariable("y", S);
+      auto Widen = [&](Term T) {
+        return Signed ? M.mkBvSignExtend(1, T) : M.mkBvZeroExtend(1, T);
+      };
+      Term Difference =
+          M.mkApp(Kind::BvSub, std::vector<Term>{Widen(X), Widen(Y)});
+      Term Borrow = M.mkEq(M.mkBvExtract(Width, Width, Difference),
+                           M.mkBitVecConst(BitVecValue(1, int64_t(1))));
+      Term Less =
+          M.mkApp(Signed ? Kind::BvSlt : Kind::BvUlt, std::vector<Term>{X, Y});
+      SolveResult R = Solver->solve(M, {M.mkNot(M.mkEq(Less, Borrow))}, Options);
+      EXPECT_EQ(R.Status, SolveStatus::Unsat)
+          << (Signed ? "bvslt" : "bvult") << " at width " << Width;
+    }
+  }
+}
+
 //===--------------------------------------------------------------------===//
 // Linear integer arithmetic path.
 //===--------------------------------------------------------------------===//

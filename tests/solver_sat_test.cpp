@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 
 using namespace staub;
@@ -308,6 +310,58 @@ TEST(SatTest, PinnedSearchOnRandom3Cnf) {
 TEST(SatTest, PinnedSearchThroughLearntReduction) {
   expectPinnedSearch(
       {3, 200, 860, SatStatus::Unsat, 14761, 547248, 17886, 3451});
+}
+
+/// True when the model of \p S satisfies every clause of \p Clauses.
+bool modelSatisfies(const SatSolver &S,
+                    const std::vector<std::vector<int>> &Clauses) {
+  return std::all_of(Clauses.begin(), Clauses.end(), [&](const auto &Clause) {
+    return std::any_of(Clause.begin(), Clause.end(), [&](int L) {
+      return (L > 0) == S.modelValue(static_cast<unsigned>(L > 0 ? L : -L));
+    });
+  });
+}
+
+// A push onto a full watch list moves that list to the end of the watch
+// pool, which can reallocate the pool while propagation walks another
+// literal's list. Here x1 false sets off a chain of implications x3, x4,
+// ... x13 false, and 64 copies of one long clause follow it: each link
+// moves all 64 watchers onto a list that must grow to hold them, so the
+// pool outgrows its capacity mid-walk several times. Random clauses added
+// afterwards make the answer one the search has to find.
+TEST(SatTest, WatchListsMoveWhilePropagating) {
+  const unsigned NumVars = 14;
+  std::vector<std::vector<int>> Chain(64, std::vector<int>(NumVars));
+  for (std::vector<int> &Long : Chain)
+    std::iota(Long.begin(), Long.end(), 1);
+  Chain.push_back({1, -3});
+  for (int V = 3; V + 1 < static_cast<int>(NumVars); ++V)
+    Chain.push_back({V, -(V + 1)});
+  std::vector<std::vector<int>> X1False = Chain;
+  X1False.push_back({-1});
+
+  for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SatSolver S;
+    ASSERT_TRUE(loadCnf(S, NumVars, Chain));
+    ASSERT_EQ(S.solve({}, {Lit::fromDimacs(-1)}), SatStatus::Sat);
+    EXPECT_TRUE(modelSatisfies(S, X1False));
+
+    std::vector<std::vector<int>> All = Chain;
+    for (const std::vector<int> &Clause : random3Cnf(Seed, NumVars, 28)) {
+      All.push_back(Clause);
+      std::vector<Lit> Lits;
+      for (int L : Clause)
+        Lits.push_back(Lit::fromDimacs(L));
+      S.addClause(Lits);
+    }
+    SatStatus Got = S.solve();
+    EXPECT_EQ(Got,
+              bruteForce(NumVars, All) ? SatStatus::Sat : SatStatus::Unsat);
+    if (Got == SatStatus::Sat) {
+      EXPECT_TRUE(modelSatisfies(S, All));
+    }
+  }
 }
 
 // Every entry point normalizes the same way: duplicates collapse,
