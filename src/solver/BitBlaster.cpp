@@ -300,8 +300,9 @@ BitBlaster::Word BitBlaster::udivWords(const Word &A, const Word &B,
     for (size_t J = Width; J-- > 1;)
       Shifted[J] = Remainder[J - 1];
     Shifted[0] = A[I];
-    Lit GreaterEq = ~ultWords(Shifted, B);
-    Word Subtracted = addWords(Shifted, notWord(B), TrueLit, nullptr);
+    // Shifted >= B iff Shifted + ~B + 1 carries out of the top bit.
+    Lit GreaterEq;
+    Word Subtracted = addWords(Shifted, notWord(B), TrueLit, &GreaterEq);
     Remainder = muxWord(GreaterEq, Subtracted, Shifted);
     Quotient[I] = GreaterEq;
   }

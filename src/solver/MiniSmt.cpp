@@ -13,9 +13,9 @@
 ///     with exact-rational simplex theory checks; branch-and-bound layers
 ///     integrality on top.
 ///   * nonlinear Int/Real -> interval branch-and-prune (Icp.h).
-///   * FloatingPoint -> real relaxation through ICP, with candidate
-///     rounding checked by the exact evaluator.
-/// Anything else returns Unknown, mirroring how real solvers give up.
+/// Anything else returns Unknown, mirroring how real solvers give up. That
+/// includes every FloatingPoint input: there is no FP engine, so a Real
+/// query's bounded lane reverts at once and the original lane answers it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,18 +83,14 @@ TheoryProfile profile(const TermManager &Manager,
         P.HasNonlinear = true;
       break;
     }
-    case Kind::IntDiv:
-    case Kind::IntMod:
-      if (!Manager.isConst(Manager.child(T, 1)))
-        P.HasNonlinear = true;
-      else
-        P.HasNonlinear = true; // Euclidean div is non-affine either way.
-      break;
     case Kind::RealDiv:
       if (!Manager.isConst(Manager.child(T, 1)))
         P.HasNonlinear = true;
       break;
+    case Kind::IntDiv:
+    case Kind::IntMod:
     case Kind::IntAbs:
+      // Euclidean div and mod are non-affine even by a constant.
       P.HasNonlinear = true;
       break;
     default:
@@ -379,9 +375,6 @@ private:
   SolveResult solveLinearArith(TermManager &Manager,
                                const std::vector<Term> &Assertions,
                                const SolverOptions &Options, bool IsInt);
-  SolveResult solveFp(TermManager &Manager,
-                      const std::vector<Term> &Assertions,
-                      const SolverOptions &Options);
 
   /// Integer branch-and-bound over a feasible rational simplex. Returns
   /// Sat/Unsat/Unknown for this atom assignment.
@@ -602,12 +595,6 @@ SolveResult MiniSmtSolver::solveLinearArith(TermManager &Manager,
               : K == Kind::Ge ? Simplex::Relation::Lt
                               : Simplex::Relation::Le;
       }
-      // Integer tightening: strict integer comparisons become non-strict.
-      if (IsInt) {
-        // Expr has integer coefficients scaled by rationals; conservative
-        // tightening only when the expression is integral is skipped for
-        // simplicity; strictness is handled exactly by delta-rationals.
-      }
       std::map<unsigned, Rational> Expr;
       for (const auto &[VarId, Coeff] : Atom.Expr.Coefficients)
         Expr[VarIndex.at(VarId)] = Coeff;
@@ -669,202 +656,17 @@ SolveResult MiniSmtSolver::solveLinearArith(TermManager &Manager,
   return Result;
 }
 
-/// Builds the real relaxation of an FP term; returns an invalid Term when
-/// the structure has no faithful real image (NaN/Inf literals, fp.abs on
-/// our term language, classification predicates other than isZero).
-static Term relaxFpTerm(TermManager &Manager, Term T,
-                        std::unordered_map<uint32_t, Term> &Cache) {
-  auto Found = Cache.find(T.id());
-  if (Found != Cache.end())
-    return Found->second;
-  Term Result;
-  Kind K = Manager.kind(T);
-  switch (K) {
-  case Kind::ConstBool:
-    Result = T;
-    break;
-  case Kind::ConstFp: {
-    const SoftFloat &V = Manager.fpValue(T);
-    if (!V.isFinite())
-      break; // Invalid.
-    Result = Manager.mkRealConst(V.toRational());
-    break;
-  }
-  case Kind::Variable:
-    if (Manager.sort(T).isFloatingPoint())
-      Result = Manager.mkVariable("fp.relax!" + Manager.variableName(T),
-                                  Sort::real());
-    else
-      Result = T;
-    break;
-  default: {
-    std::vector<Term> Children;
-    for (Term Child : Manager.childrenCopy(T)) {
-      Term R = relaxFpTerm(Manager, Child, Cache);
-      if (!R.isValid()) {
-        Cache.emplace(T.id(), Term());
-        return Term();
-      }
-      Children.push_back(R);
-    }
-    switch (K) {
-    case Kind::FpNeg:
-      Result = Manager.mkNeg(Children[0]);
-      break;
-    case Kind::FpAdd:
-      Result = Manager.mkAdd(Children);
-      break;
-    case Kind::FpSub:
-      Result = Manager.mkSub(Children);
-      break;
-    case Kind::FpMul:
-      Result = Manager.mkMul(Children);
-      break;
-    case Kind::FpDiv:
-      Result = Manager.mkRealDiv(Children[0], Children[1]);
-      break;
-    case Kind::FpLeq:
-      Result = Manager.mkCompare(Kind::Le, Children[0], Children[1]);
-      break;
-    case Kind::FpLt:
-      Result = Manager.mkCompare(Kind::Lt, Children[0], Children[1]);
-      break;
-    case Kind::FpGeq:
-      Result = Manager.mkCompare(Kind::Ge, Children[0], Children[1]);
-      break;
-    case Kind::FpGt:
-      Result = Manager.mkCompare(Kind::Gt, Children[0], Children[1]);
-      break;
-    case Kind::FpEq:
-    case Kind::Eq:
-      Result = Manager.mkEq(Children[0], Children[1]);
-      break;
-    case Kind::FpIsZero:
-      Result = Manager.mkEq(Children[0], Manager.mkRealConst(Rational(0)));
-      break;
-    case Kind::Not:
-      Result = Manager.mkNot(Children[0]);
-      break;
-    case Kind::And:
-      Result = Manager.mkAnd(Children);
-      break;
-    case Kind::Or:
-      Result = Manager.mkOr(Children);
-      break;
-    case Kind::Implies:
-      Result = Manager.mkImplies(Children[0], Children[1]);
-      break;
-    case Kind::Xor:
-      Result = Manager.mkXor(Children[0], Children[1]);
-      break;
-    case Kind::Ite:
-      Result = Manager.mkIte(Children[0], Children[1], Children[2]);
-      break;
-    default:
-      break; // Invalid: FpAbs, FpIsNaN, FpIsInf, ...
-    }
-    break;
-  }
-  }
-  Cache.emplace(T.id(), Result);
-  return Result;
-}
-
-SolveResult MiniSmtSolver::solveFp(TermManager &Manager,
-                                   const std::vector<Term> &Assertions,
-                                   const SolverOptions &Options) {
-  WallTimer Timer;
-  SolveResult Result;
-  Result.Status = SolveStatus::Unknown;
-
-  Term Original = Manager.mkAnd(Assertions);
-  std::vector<Term> FpVars = Manager.collectVariables(Original);
-
-  // Candidate 1: simple special values.
-  auto TryAssignment = [&](const std::vector<SoftFloat> &Values) {
-    Model Candidate;
-    for (size_t I = 0; I < FpVars.size(); ++I)
-      Candidate.set(FpVars[I], Value(Values[I]));
-    if (evaluatesToTrue(Manager, Original, Candidate)) {
-      Result.Status = SolveStatus::Sat;
-      Result.TheModel = std::move(Candidate);
-      return true;
-    }
-    return false;
-  };
-  {
-    std::vector<SoftFloat> Zeros;
-    std::vector<SoftFloat> Ones;
-    for (Term Var : FpVars) {
-      FpFormat Format = Manager.sort(Var).fpFormat();
-      Zeros.push_back(SoftFloat::zero(Format, false));
-      Ones.push_back(SoftFloat::fromRational(Format, Rational(1)));
-    }
-    if (!FpVars.empty() && (TryAssignment(Zeros) || TryAssignment(Ones))) {
-      Result.TimeSeconds = Timer.elapsedSeconds();
-      return Result;
-    }
-    if (FpVars.empty()) {
-      Model Empty;
-      Result.Status = evaluatesToTrue(Manager, Original, Empty)
-                          ? SolveStatus::Sat
-                          : SolveStatus::Unsat;
-      Result.TimeSeconds = Timer.elapsedSeconds();
-      return Result;
-    }
-  }
-
-  // Candidate 2: solve the real relaxation and round.
-  std::unordered_map<uint32_t, Term> Cache;
-  std::vector<Term> Relaxed;
-  for (Term Assertion : Assertions) {
-    Term R = relaxFpTerm(Manager, Assertion, Cache);
-    if (!R.isValid()) {
-      Result.TimeSeconds = Timer.elapsedSeconds();
-      return Result; // Unknown.
-    }
-    Relaxed.push_back(R);
-  }
-  IcpSolver Icp(Manager, Relaxed);
-  IcpOptions IcpOpts;
-  IcpOpts.TimeoutSeconds =
-      std::max(0.1, Options.TimeoutSeconds - Timer.elapsedSeconds());
-  IcpOpts.Cancel = Options.Cancel;
-  SolveResult RealResult = Icp.solve(IcpOpts);
-  if (RealResult.Status == SolveStatus::Sat) {
-    std::vector<SoftFloat> Rounded;
-    for (Term Var : FpVars) {
-      FpFormat Format = Manager.sort(Var).fpFormat();
-      Term Shadow =
-          Manager.lookupVariable("fp.relax!" + Manager.variableName(Var));
-      const Value *V = Shadow.isValid() ? RealResult.TheModel.get(Shadow)
-                                        : nullptr;
-      Rational RealValue = V && V->isReal() ? V->asReal() : Rational(0);
-      Rounded.push_back(SoftFloat::fromRational(Format, RealValue));
-    }
-    TryAssignment(Rounded);
-  }
-  Result.TimeSeconds = Timer.elapsedSeconds();
-  return Result;
-}
-
 SolveResult MiniSmtSolver::solve(TermManager &Manager,
                                  const std::vector<Term> &Assertions,
                                  const SolverOptions &Options) {
   TheoryProfile P = profile(Manager, Assertions);
 
-  // Mixed bounded/unbounded content is outside every engine's fragment.
-  if ((P.HasBitVec || P.HasFp) && (P.HasInt || P.HasReal))
+  // No engine takes FP, mixed bounded/unbounded or mixed Int/Real content.
+  if (P.HasFp || (P.HasBitVec && (P.HasInt || P.HasReal)) ||
+      (P.HasInt && P.HasReal))
     return {};
-  if (P.HasBitVec && P.HasFp)
-    return {};
-
-  if (P.HasFp)
-    return solveFp(Manager, Assertions, Options);
   if (P.HasBitVec || (!P.HasInt && !P.HasReal))
     return solveBitVec(Manager, Assertions, Options);
-  if (P.HasInt && P.HasReal)
-    return {}; // Mixed Int/Real unsupported.
 
   if (!P.HasNonlinear) {
     SolveResult Linear =

@@ -216,8 +216,9 @@ TEST(EvaluateQueryTest, BoundedUnsatFallsBackToTheOriginal) {
 }
 
 TEST(EvaluateQueryTest, BoundedUnknownFallsBackToTheOriginal) {
-  // x = 2/3, y = 1/3 has no floating-point model, so the bounded solve
-  // gives up and the exact simplex on the original finds the answer.
+  // MiniSMT has no FP engine, so the bounded solve of the Real->FP
+  // translation gives up at once and the exact simplex on the original
+  // finds x = 2/3, y = 1/3.
   QueryResult R = evaluateQuery("(set-logic QF_LRA)\n"
                                 "(declare-const x Real)\n"
                                 "(declare-const y Real)\n"

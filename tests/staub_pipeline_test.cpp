@@ -237,7 +237,8 @@ TEST(StaubPipelineTest, RealConstraintVerifiedSat) {
   ParsedConstraint P;
   parseInto(P, "(declare-fun r () Real)"
                "(assert (= (* r 4.0) 3.0))"); // r = 3/4, exact in FP.
-  auto Backend = createMiniSmtSolver();
+  // Z3 solves the FP translation natively; MiniSMT has no FP engine.
+  auto Backend = createZ3Solver();
   StaubOptions Options;
   Options.Presolve = false; // Pin the bounded-solve-then-verify path; the
                             // presolver would witness r = 3/4 statically.
@@ -320,14 +321,16 @@ TEST(StaubPipelineTest, RacingPortfolioAgrees) {
 
 TEST(StaubPipelineTest, SemanticDifferencePathOnReals) {
   // Force the FP lane into a rounding trap: r * 3 = 1 has no exact FP
-  // witness (1/3 is not representable), so any bounded model relying on
-  // rounding is rejected and STAUB reverts.
+  // witness (1/3 is not representable), so the bounded model Z3 finds
+  // relies on rounding, fails verification, and STAUB reverts.
   ParsedConstraint P;
   parseInto(P, "(declare-fun r () Real)(assert (= (* r 3.0) 1.0))");
-  auto Backend = createMiniSmtSolver();
+  auto Backend = createZ3Solver();
   StaubOptions Options;
+  Options.Presolve = false; // The presolver would witness r = 1/3
+                            // statically; this test pins the bounded lane.
   StaubOutcome Outcome = runStaub(P.M, P.Assertions, *Backend, Options);
-  EXPECT_NE(Outcome.Path, StaubPath::VerifiedSat);
+  EXPECT_EQ(Outcome.Path, StaubPath::SemanticDifference);
 }
 
 //===--------------------------------------------------------------------===//

@@ -285,9 +285,9 @@ TEST(PortfolioRacingTest, IntModelRemapRoundTrips) {
 }
 
 TEST(PortfolioRacingTest, RealModelRemapRoundTrips) {
-  // float16 cannot represent 1/3: the bounded model fails verification
-  // (semantic difference), so the exact simplex lane must supply x = 1/3
-  // through the name-based remap.
+  // MiniSMT has no FP engine, so the STAUB lane ends bounded-unknown (and
+  // float16 could not represent 1/3 anyway): the exact simplex lane must
+  // supply x = 1/3 through the name-based remap.
   ParsedConstraint P;
   parseInto(P, "(declare-fun x () Real)(assert (= (* 3.0 x) 1.0))");
   auto Backend = createMiniSmtSolver();
