@@ -291,8 +291,10 @@ SatStatus solveSatWithDeadline(SatSolver &Solver, WallTimer &Timer,
 /// The escalation ladder's session: a fresh SatSolver + BitBlaster per
 /// frame. Nothing would carry over between frames: a wider frame's terms
 /// have other sorts, so the CNF memo only hits within a frame, and the
-/// learnt clauses of a retired width mention only its variables. The hard
-/// assertions go in as units, so blasting simplifies them at level 0;
+/// learnt clauses of a retired width mention only its variables. Only
+/// memory carries over: the fresh solver runs on the buffers the retired
+/// one parked (solver/Sat.h), so a frame does not fault them in again. The
+/// hard assertions go in as units, so blasting simplifies them at level 0;
 /// each guard sits behind its own selector, which solve() assumes.
 class MiniSmtIncrementalBv : public IncrementalBvSession {
 public:
@@ -303,7 +305,8 @@ public:
                  const std::vector<Term> &Guards) override {
     if (Current)
       RetiredCacheHits += Current->Blaster.cacheHits();
-    // Free the retired width before blasting the next one.
+    // Retire the old width first, so that its solver parks its buffers
+    // for the next frame's.
     Current.reset();
     Current = std::make_unique<Frame>(Manager);
     for (Term Assertion : Hard)

@@ -9,83 +9,126 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <sanitizer/asan_interface.h>
 
 using namespace staub;
 
 /// Room a watch list gets on its first push.
 static constexpr uint32_t MinWatchCapacity = 4;
 
+/// The most buffer capacity a dying solver parks. A larger set is freed, so
+/// one huge query does not pin its memory for the rest of its thread's life.
+static constexpr size_t MaxParkedBytes = size_t(64) << 20;
+
+std::optional<SatSolver::Buffers> &SatSolver::parked() {
+  thread_local std::optional<Buffers> Parked;
+  return Parked;
+}
+
+size_t SatSolver::Buffers::capacityBytes() {
+  size_t Bytes = 0;
+  forEach([&Bytes](auto &V) { Bytes += V.capacity() * sizeof(V[0]); });
+  return Bytes;
+}
+
+void SatSolver::Buffers::setPoisoned(bool Poisoned) {
+  forEach([Poisoned](auto &V) {
+    if (Poisoned)
+      ASAN_POISON_MEMORY_REGION(V.data(), V.capacity() * sizeof(V[0]));
+    else
+      ASAN_UNPOISON_MEMORY_REGION(V.data(), V.capacity() * sizeof(V[0]));
+  });
+}
+
+SatSolver::SatSolver() {
+  std::optional<Buffers> &Parked = parked();
+  if (!Parked)
+    return;
+  Parked->setPoisoned(false);
+  Buf = std::move(*Parked);
+  Parked.reset();
+}
+
+SatSolver::~SatSolver() {
+  std::optional<Buffers> &Parked = parked();
+  if (Parked || Buf.capacityBytes() > MaxParkedBytes)
+    return;
+  Buf.forEach([](auto &V) { V.clear(); });
+  Buf.setPoisoned(true);
+  Parked.emplace(std::move(Buf));
+}
+
 unsigned SatSolver::newVar() {
   ++VarCount;
-  Assigns.push_back(LBool::Undef);
-  Levels.push_back(0);
-  Reasons.push_back(-1);
-  Activities.push_back(0.0);
-  SavedPhases.push_back(false);
-  Seen.push_back(false);
-  HeapPosition.push_back(-1);
-  Watches.resize(2 * (VarCount + 1));
+  Buf.Assigns.push_back(LBool::Undef);
+  Buf.Levels.push_back(0);
+  Buf.Reasons.push_back(-1);
+  Buf.Activities.push_back(0.0);
+  Buf.SavedPhases.push_back(false);
+  Buf.Seen.push_back(false);
+  Buf.HeapPosition.push_back(-1);
+  Buf.Watches.resize(2 * (VarCount + 1));
   heapInsert(VarCount);
   return VarCount;
 }
 
 void SatSolver::heapPercolateUp(size_t Index) {
-  unsigned Var = Heap[Index];
+  unsigned Var = Buf.Heap[Index];
   while (Index > 0) {
     size_t Parent = (Index - 1) / 2;
-    if (!heapLess(Var, Heap[Parent]))
+    if (!heapLess(Var, Buf.Heap[Parent]))
       break;
-    Heap[Index] = Heap[Parent];
-    HeapPosition[Heap[Index] - 1] = static_cast<int>(Index);
+    Buf.Heap[Index] = Buf.Heap[Parent];
+    Buf.HeapPosition[Buf.Heap[Index] - 1] = static_cast<int>(Index);
     Index = Parent;
   }
-  Heap[Index] = Var;
-  HeapPosition[Var - 1] = static_cast<int>(Index);
+  Buf.Heap[Index] = Var;
+  Buf.HeapPosition[Var - 1] = static_cast<int>(Index);
 }
 
 void SatSolver::heapPercolateDown(size_t Index) {
-  unsigned Var = Heap[Index];
-  size_t Size = Heap.size();
+  unsigned Var = Buf.Heap[Index];
+  size_t Size = Buf.Heap.size();
   for (;;) {
     size_t Left = 2 * Index + 1;
     if (Left >= Size)
       break;
     size_t Child = Left;
-    if (Left + 1 < Size && heapLess(Heap[Left + 1], Heap[Left]))
+    if (Left + 1 < Size && heapLess(Buf.Heap[Left + 1], Buf.Heap[Left]))
       Child = Left + 1;
-    if (!heapLess(Heap[Child], Var))
+    if (!heapLess(Buf.Heap[Child], Var))
       break;
-    Heap[Index] = Heap[Child];
-    HeapPosition[Heap[Index] - 1] = static_cast<int>(Index);
+    Buf.Heap[Index] = Buf.Heap[Child];
+    Buf.HeapPosition[Buf.Heap[Index] - 1] = static_cast<int>(Index);
     Index = Child;
   }
-  Heap[Index] = Var;
-  HeapPosition[Var - 1] = static_cast<int>(Index);
+  Buf.Heap[Index] = Var;
+  Buf.HeapPosition[Var - 1] = static_cast<int>(Index);
 }
 
 void SatSolver::heapInsert(unsigned Var) {
-  if (HeapPosition[Var - 1] >= 0)
+  if (Buf.HeapPosition[Var - 1] >= 0)
     return;
-  Heap.push_back(Var);
-  HeapPosition[Var - 1] = static_cast<int>(Heap.size() - 1);
-  heapPercolateUp(Heap.size() - 1);
+  Buf.Heap.push_back(Var);
+  Buf.HeapPosition[Var - 1] = static_cast<int>(Buf.Heap.size() - 1);
+  heapPercolateUp(Buf.Heap.size() - 1);
 }
 
 unsigned SatSolver::heapExtractTop() {
-  unsigned Top = Heap[0];
-  HeapPosition[Top - 1] = -1;
-  unsigned Last = Heap.back();
-  Heap.pop_back();
-  if (!Heap.empty()) {
-    Heap[0] = Last;
-    HeapPosition[Last - 1] = 0;
+  unsigned Top = Buf.Heap[0];
+  Buf.HeapPosition[Top - 1] = -1;
+  unsigned Last = Buf.Heap.back();
+  Buf.Heap.pop_back();
+  if (!Buf.Heap.empty()) {
+    Buf.Heap[0] = Last;
+    Buf.HeapPosition[Last - 1] = 0;
     heapPercolateDown(0);
   }
   return Top;
 }
 
 LBool SatSolver::value(Lit L) const {
-  LBool V = Assigns[L.var() - 1];
+  LBool V = Buf.Assigns[L.var() - 1];
   if (V == LBool::Undef)
     return LBool::Undef;
   bool IsTrue = (V == LBool::True) != L.negated();
@@ -93,44 +136,44 @@ LBool SatSolver::value(Lit L) const {
 }
 
 bool SatSolver::modelValue(unsigned Var) const {
-  return Assigns[Var - 1] == LBool::True;
+  return Buf.Assigns[Var - 1] == LBool::True;
 }
 
 /// Appends \p Lits to the pool as a clause, reusing the most recently
 /// freed slot first.
 uint32_t SatSolver::allocClause(const Lit *Lits, size_t Size, bool Learnt) {
   Clause C;
-  C.Begin = LitPool.size();
+  C.Begin = Buf.LitPool.size();
   C.Size = static_cast<uint32_t>(Size);
   C.Learnt = Learnt;
-  LitPool.insert(LitPool.end(), Lits, Lits + Size);
+  Buf.LitPool.insert(Buf.LitPool.end(), Lits, Lits + Size);
   if (Learnt)
     ++LearntCount;
-  if (FreeClauseSlots.empty()) {
-    Clauses.push_back(C);
-    return static_cast<uint32_t>(Clauses.size() - 1);
+  if (Buf.FreeClauseSlots.empty()) {
+    Buf.Clauses.push_back(C);
+    return static_cast<uint32_t>(Buf.Clauses.size() - 1);
   }
-  uint32_t Index = FreeClauseSlots.back();
-  FreeClauseSlots.pop_back();
-  Clauses[Index] = C;
+  uint32_t Index = Buf.FreeClauseSlots.back();
+  Buf.FreeClauseSlots.pop_back();
+  Buf.Clauses[Index] = C;
   return Index;
 }
 
 void SatSolver::pushWatch(unsigned LitIndex, Watcher W) {
-  WatchList &List = Watches[LitIndex];
+  WatchList &List = Buf.Watches[LitIndex];
   if (List.Size == List.Capacity) {
-    size_t Begin = WatchPool.size();
+    size_t Begin = Buf.WatchPool.size();
     List.Capacity = std::max(2 * List.Capacity, MinWatchCapacity);
-    WatchPool.resize(Begin + List.Capacity);
-    std::copy_n(WatchPool.begin() + List.Begin, List.Size,
-                WatchPool.begin() + Begin);
+    Buf.WatchPool.resize(Begin + List.Capacity);
+    std::copy_n(Buf.WatchPool.begin() + List.Begin, List.Size,
+                Buf.WatchPool.begin() + Begin);
     List.Begin = Begin;
   }
-  WatchPool[List.Begin + List.Size++] = W;
+  Buf.WatchPool[List.Begin + List.Size++] = W;
 }
 
 void SatSolver::watchClause(uint32_t Index) {
-  const Clause &C = Clauses[Index];
+  const Clause &C = Buf.Clauses[Index];
   assert(C.Size >= 2 && "watching a short clause");
   const Lit *Lits = lits(C);
   pushWatch((~Lits[0]).index(), {Index, Lits[1]});
@@ -146,7 +189,7 @@ bool SatSolver::addLits(const Lit *Lits, size_t Size) {
 
   // Normalize in place: drop duplicates and false literals, detect
   // tautologies and satisfied clauses.
-  std::vector<Lit> &Clause = AddBuffer;
+  std::vector<Lit> &Clause = Buf.AddBuffer;
   Clause.assign(Lits, Lits + Size);
   std::sort(Clause.begin(), Clause.end(),
             [](Lit A, Lit B) { return A.index() < B.index(); });
@@ -183,30 +226,30 @@ bool SatSolver::addLits(const Lit *Lits, size_t Size) {
 
 void SatSolver::enqueue(Lit L, int32_t Reason) {
   assert(value(L) == LBool::Undef && "enqueue of assigned literal");
-  Assigns[L.var() - 1] = L.negated() ? LBool::False : LBool::True;
-  Levels[L.var() - 1] = decisionLevel();
-  Reasons[L.var() - 1] = Reason;
-  Trail.push_back(L);
+  Buf.Assigns[L.var() - 1] = L.negated() ? LBool::False : LBool::True;
+  Buf.Levels[L.var() - 1] = decisionLevel();
+  Buf.Reasons[L.var() - 1] = Reason;
+  Buf.Trail.push_back(L);
 }
 
 int32_t SatSolver::propagate() {
-  while (PropagationHead < Trail.size()) {
-    Lit P = Trail[PropagationHead++];
+  while (PropagationHead < Buf.Trail.size()) {
+    Lit P = Buf.Trail[PropagationHead++];
     ++Propagations;
     // The walk addresses P's watchers by index: a push below may move the
     // pool. It never moves P's own list, which holds the watches of the
     // false literal ~P, while a new watch is never false.
-    WatchList &List = Watches[P.index()];
+    WatchList &List = Buf.Watches[P.index()];
     const size_t Begin = List.Begin;
     const uint32_t Size = List.Size;
     uint32_t Out = 0;
     for (uint32_t In = 0; In < Size; ++In) {
-      Watcher W = WatchPool[Begin + In];
+      Watcher W = Buf.WatchPool[Begin + In];
       if (value(W.Blocker) == LBool::True) {
-        WatchPool[Begin + Out++] = W;
+        Buf.WatchPool[Begin + Out++] = W;
         continue;
       }
-      const Clause &C = Clauses[W.ClauseIndex];
+      const Clause &C = Buf.Clauses[W.ClauseIndex];
       Lit *Lits = lits(C);
       Lit FalseLit = ~P;
       // Put the false watched literal at position 1.
@@ -214,7 +257,7 @@ int32_t SatSolver::propagate() {
         std::swap(Lits[0], Lits[1]);
       assert(Lits[1] == FalseLit && "watch bookkeeping broken");
       if (value(Lits[0]) == LBool::True) {
-        WatchPool[Begin + Out++] = {W.ClauseIndex, Lits[0]};
+        Buf.WatchPool[Begin + Out++] = {W.ClauseIndex, Lits[0]};
         continue;
       }
       // Look for a replacement watch.
@@ -230,11 +273,11 @@ int32_t SatSolver::propagate() {
       if (FoundWatch)
         continue;
       // Clause is unit or conflicting.
-      WatchPool[Begin + Out++] = W;
+      Buf.WatchPool[Begin + Out++] = W;
       if (value(Lits[0]) == LBool::False) {
         // Conflict: restore remaining watchers and report.
         for (uint32_t K = In + 1; K < Size; ++K)
-          WatchPool[Begin + Out++] = WatchPool[Begin + K];
+          Buf.WatchPool[Begin + Out++] = Buf.WatchPool[Begin + K];
         List.Size = Out;
         return static_cast<int32_t>(W.ClauseIndex);
       }
@@ -246,15 +289,15 @@ int32_t SatSolver::propagate() {
 }
 
 void SatSolver::bumpVariable(unsigned Var) {
-  Activities[Var - 1] += ActivityIncrement;
-  if (Activities[Var - 1] > 1e100) {
-    for (double &A : Activities)
+  Buf.Activities[Var - 1] += ActivityIncrement;
+  if (Buf.Activities[Var - 1] > 1e100) {
+    for (double &A : Buf.Activities)
       A *= 1e-100;
     ActivityIncrement *= 1e-100;
     // Activities rescaled uniformly: heap order is unchanged.
   }
-  if (HeapPosition[Var - 1] >= 0)
-    heapPercolateUp(static_cast<size_t>(HeapPosition[Var - 1]));
+  if (Buf.HeapPosition[Var - 1] >= 0)
+    heapPercolateUp(static_cast<size_t>(Buf.HeapPosition[Var - 1]));
 }
 
 void SatSolver::decayActivities() { ActivityIncrement *= 1.0 / 0.95; }
@@ -266,33 +309,33 @@ void SatSolver::analyze(int32_t ConflictIndex, std::vector<Lit> &Learnt,
   int Counter = 0;
   Lit P;
   bool PValid = false;
-  size_t TrailIndex = Trail.size();
+  size_t TrailIndex = Buf.Trail.size();
 
   int32_t Reason = ConflictIndex;
   do {
     assert(Reason >= 0 && "no reason during conflict analysis");
-    const Clause &C = Clauses[Reason];
+    const Clause &C = Buf.Clauses[Reason];
     const Lit *Lits = lits(C);
     for (size_t I = PValid ? 1 : 0; I < C.Size; ++I) {
       Lit Q = Lits[I];
       unsigned Var = Q.var();
-      if (Seen[Var - 1] || Levels[Var - 1] == 0)
+      if (Buf.Seen[Var - 1] || Buf.Levels[Var - 1] == 0)
         continue;
-      Seen[Var - 1] = true;
+      Buf.Seen[Var - 1] = true;
       bumpVariable(Var);
-      if (Levels[Var - 1] >= decisionLevel())
+      if (Buf.Levels[Var - 1] >= decisionLevel())
         ++Counter;
       else
         Learnt.push_back(Q);
     }
     // Select the next literal to resolve on.
-    while (!Seen[Trail[TrailIndex - 1].var() - 1])
+    while (!Buf.Seen[Buf.Trail[TrailIndex - 1].var() - 1])
       --TrailIndex;
     --TrailIndex;
-    P = Trail[TrailIndex];
+    P = Buf.Trail[TrailIndex];
     PValid = true;
-    Reason = Reasons[P.var() - 1];
-    Seen[P.var() - 1] = false;
+    Reason = Buf.Reasons[P.var() - 1];
+    Buf.Seen[P.var() - 1] = false;
     --Counter;
   } while (Counter > 0);
   Learnt[0] = ~P;
@@ -301,7 +344,7 @@ void SatSolver::analyze(int32_t ConflictIndex, std::vector<Lit> &Learnt,
   BacktrackLevel = 0;
   size_t MaxIndex = 1;
   for (size_t I = 1; I < Learnt.size(); ++I) {
-    int Level = Levels[Learnt[I].var() - 1];
+    int Level = Buf.Levels[Learnt[I].var() - 1];
     if (Level > BacktrackLevel) {
       BacktrackLevel = Level;
       MaxIndex = I;
@@ -310,7 +353,7 @@ void SatSolver::analyze(int32_t ConflictIndex, std::vector<Lit> &Learnt,
   if (Learnt.size() > 1)
     std::swap(Learnt[1], Learnt[MaxIndex]);
   for (size_t I = 1; I < Learnt.size(); ++I)
-    Seen[Learnt[I].var() - 1] = false;
+    Buf.Seen[Learnt[I].var() - 1] = false;
 }
 
 /// MiniSat's final-conflict analysis: \p Assumption was found false while
@@ -319,31 +362,31 @@ void SatSolver::analyze(int32_t ConflictIndex, std::vector<Lit> &Learnt,
 /// variable; every decision reached is an assumption (only assumptions
 /// are decided at levels 1..n during injection) and joins the core.
 void SatSolver::analyzeFinal(Lit Assumption) {
-  FailedAssumptions.clear();
-  FailedAssumptions.push_back(Assumption);
+  Buf.FailedAssumptions.clear();
+  Buf.FailedAssumptions.push_back(Assumption);
   unsigned AssumptionVar = Assumption.var();
   // Falsified at level 0: the database alone implies its negation, so
   // the singleton core is already exact.
-  if (decisionLevel() == 0 || Levels[AssumptionVar - 1] == 0)
+  if (decisionLevel() == 0 || Buf.Levels[AssumptionVar - 1] == 0)
     return;
-  Seen[AssumptionVar - 1] = true;
-  for (size_t I = Trail.size(); I-- > TrailLimits[0];) {
-    unsigned Var = Trail[I].var();
-    if (!Seen[Var - 1])
+  Buf.Seen[AssumptionVar - 1] = true;
+  for (size_t I = Buf.Trail.size(); I-- > Buf.TrailLimits[0];) {
+    unsigned Var = Buf.Trail[I].var();
+    if (!Buf.Seen[Var - 1])
       continue;
-    Seen[Var - 1] = false;
-    int32_t Reason = Reasons[Var - 1];
+    Buf.Seen[Var - 1] = false;
+    int32_t Reason = Buf.Reasons[Var - 1];
     if (Reason < 0) {
       // An assumption decision, in exactly the polarity it was passed.
-      FailedAssumptions.push_back(Trail[I]);
+      Buf.FailedAssumptions.push_back(Buf.Trail[I]);
       continue;
     }
-    const Clause &C = Clauses[Reason];
+    const Clause &C = Buf.Clauses[Reason];
     const Lit *Lits = lits(C);
     for (size_t K = 1; K < C.Size; ++K) {
       unsigned Antecedent = Lits[K].var();
-      if (Levels[Antecedent - 1] > 0)
-        Seen[Antecedent - 1] = true;
+      if (Buf.Levels[Antecedent - 1] > 0)
+        Buf.Seen[Antecedent - 1] = true;
     }
   }
 }
@@ -351,24 +394,24 @@ void SatSolver::analyzeFinal(Lit Assumption) {
 void SatSolver::backtrack(int Level) {
   if (decisionLevel() <= Level)
     return;
-  size_t Limit = TrailLimits[Level];
-  for (size_t I = Trail.size(); I-- > Limit;) {
-    unsigned Var = Trail[I].var();
-    SavedPhases[Var - 1] = Assigns[Var - 1] == LBool::True;
-    Assigns[Var - 1] = LBool::Undef;
-    Reasons[Var - 1] = -1;
+  size_t Limit = Buf.TrailLimits[Level];
+  for (size_t I = Buf.Trail.size(); I-- > Limit;) {
+    unsigned Var = Buf.Trail[I].var();
+    Buf.SavedPhases[Var - 1] = Buf.Assigns[Var - 1] == LBool::True;
+    Buf.Assigns[Var - 1] = LBool::Undef;
+    Buf.Reasons[Var - 1] = -1;
     heapInsert(Var);
   }
-  Trail.resize(Limit);
-  TrailLimits.resize(Level);
-  PropagationHead = Trail.size();
+  Buf.Trail.resize(Limit);
+  Buf.TrailLimits.resize(Level);
+  PropagationHead = Buf.Trail.size();
 }
 
 Lit SatSolver::pickDecision() {
-  while (!Heap.empty()) {
+  while (!Buf.Heap.empty()) {
     unsigned Var = heapExtractTop();
-    if (Assigns[Var - 1] == LBool::Undef)
-      return Lit(Var, !SavedPhases[Var - 1]);
+    if (Buf.Assigns[Var - 1] == LBool::Undef)
+      return Lit(Var, !Buf.SavedPhases[Var - 1]);
   }
   return Lit();
 }
@@ -376,24 +419,24 @@ Lit SatSolver::pickDecision() {
 void SatSolver::reduceLearnts() {
   // Collect learnt clauses that are not currently reasons.
   std::vector<uint32_t> Candidates;
-  for (uint32_t I = 0; I < Clauses.size(); ++I) {
-    const Clause &C = Clauses[I];
+  for (uint32_t I = 0; I < Buf.Clauses.size(); ++I) {
+    const Clause &C = Buf.Clauses[I];
     if (!C.Learnt || C.Size <= 2)
       continue;
     unsigned HeadVar = lits(C)[0].var();
-    if (Reasons[HeadVar - 1] == static_cast<int32_t>(I) &&
-        Assigns[HeadVar - 1] != LBool::Undef)
+    if (Buf.Reasons[HeadVar - 1] == static_cast<int32_t>(I) &&
+        Buf.Assigns[HeadVar - 1] != LBool::Undef)
       continue; // Locked.
     Candidates.push_back(I);
   }
   std::sort(Candidates.begin(), Candidates.end(),
             [this](uint32_t A, uint32_t B) {
-              return Clauses[A].Activity < Clauses[B].Activity;
+              return Buf.Clauses[A].Activity < Buf.Clauses[B].Activity;
             });
   size_t Remove = Candidates.size() / 2;
   for (size_t I = 0; I < Remove; ++I) {
-    Clauses[Candidates[I]].Size = 0;
-    FreeClauseSlots.push_back(Candidates[I]);
+    Buf.Clauses[Candidates[I]].Size = 0;
+    Buf.FreeClauseSlots.push_back(Candidates[I]);
   }
   LearntCount -= Remove;
   // Compact the literal pool in clause order (reused slots sit out of pool
@@ -402,25 +445,25 @@ void SatSolver::reduceLearnts() {
   // old capacity, which drops the garbage of moved lists; a list only
   // loses watchers here, so the rebuild moves none.
   std::vector<Lit> Compacted;
-  Compacted.reserve(LitPool.size());
+  Compacted.reserve(Buf.LitPool.size());
   size_t WatchPoolSize = 0;
-  for (WatchList &List : Watches) {
+  for (WatchList &List : Buf.Watches) {
     List.Begin = WatchPoolSize;
     List.Size = 0;
     WatchPoolSize += List.Capacity;
   }
-  WatchPool.resize(WatchPoolSize);
-  for (uint32_t I = 0; I < Clauses.size(); ++I) {
-    Clause &C = Clauses[I];
+  Buf.WatchPool.resize(WatchPoolSize);
+  for (uint32_t I = 0; I < Buf.Clauses.size(); ++I) {
+    Clause &C = Buf.Clauses[I];
     if (C.Size < 2)
       continue;
     const Lit *Lits = lits(C);
     C.Begin = Compacted.size();
     Compacted.insert(Compacted.end(), Lits, Lits + C.Size);
   }
-  LitPool.swap(Compacted);
-  for (uint32_t I = 0; I < Clauses.size(); ++I)
-    if (Clauses[I].Size >= 2)
+  Buf.LitPool.swap(Compacted);
+  for (uint32_t I = 0; I < Buf.Clauses.size(); ++I)
+    if (Buf.Clauses[I].Size >= 2)
       watchClause(I);
 }
 
@@ -444,7 +487,7 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
   // An empty failed-assumption set under Unsat means the database itself
   // is unsatisfiable; analyzeFinal overwrites it when assumptions are to
   // blame.
-  FailedAssumptions.clear();
+  Buf.FailedAssumptions.clear();
   if (Unsatisfiable)
     return SatStatus::Unsat;
   backtrack(0);
@@ -455,7 +498,7 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
 
   uint64_t ConflictsAtStart = Conflicts;
   uint64_t PropagationsAtStart = Propagations;
-  std::vector<Lit> &Learnt = LearntBuffer;
+  std::vector<Lit> &Learnt = Buf.LearntBuffer;
   uint64_t RestartNumber = 0;
   // Cancellation is polled every StepMask+1 conflicts-or-decisions: one
   // relaxed atomic load per batch keeps the hot loop overhead below 1%.
@@ -493,7 +536,7 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
         } else {
           uint32_t Index =
               allocClause(Learnt.data(), Learnt.size(), /*Learnt=*/true);
-          Clauses[Index].Activity = ActivityIncrement;
+          Buf.Clauses[Index].Activity = ActivityIncrement;
           watchClause(Index);
           enqueue(Learnt[0], static_cast<int32_t>(Index));
         }
@@ -520,7 +563,7 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
           analyzeFinal(Assumption);
           return SatStatus::Unsat;
         }
-        TrailLimits.push_back(Trail.size());
+        Buf.TrailLimits.push_back(Buf.Trail.size());
         if (V == LBool::Undef)
           enqueue(Assumption, -1);
         continue;
@@ -536,12 +579,12 @@ SatStatus SatSolver::solve(const SatBudget &Budget,
       if (!Decision.var())
         return SatStatus::Sat;
       ++Decisions;
-      TrailLimits.push_back(Trail.size());
+      Buf.TrailLimits.push_back(Buf.Trail.size());
       enqueue(Decision, -1);
     }
 
     // Periodically shed inactive learnt clauses.
-    if (LearntCount > 2000 + Clauses.size() / 2)
+    if (LearntCount > 2000 + Buf.Clauses.size() / 2)
       reduceLearnts();
   }
 }

@@ -19,6 +19,17 @@
 /// watch pool (see WatchList for when a list moves and what a push
 /// invalidates).
 ///
+/// Those pools and every other growable buffer outlive the solver: a dying
+/// solver clears them, keeps their capacity and parks them for the next
+/// solver its thread constructs, so a stream of solves (a staubd worker,
+/// the ladder's frames) does not fault the same pages in again for each
+/// one. A thread parks at most one set, of at most 64 MiB, and frees it
+/// when the thread exits; no set crosses threads, and a solver built while
+/// another is alive on its thread starts empty. Only capacities differ, so
+/// the search is that of a fresh solver
+/// (SatTest.RecycledStorageSearchesAsFresh). Under ASan a parked set is
+/// poisoned, so a stale pointer into a dead solver is still reported.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAUB_SOLVER_SAT_H
@@ -29,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <vector>
 
 namespace staub {
@@ -77,7 +89,15 @@ struct SatBudget {
 /// CDCL solver. Usage: newVar() for each variable, addClause(), solve().
 class SatSolver {
 public:
-  SatSolver() = default;
+  /// Adopts the buffers a dead solver parked on this thread, if any.
+  SatSolver();
+  /// Parks the buffers for the next solver on this thread (see the file
+  /// comment).
+  ~SatSolver();
+  /// A BitBlaster holds a reference to its solver, so a solver never
+  /// copies or moves.
+  SatSolver(const SatSolver &) = delete;
+  SatSolver &operator=(const SatSolver &) = delete;
 
   /// Allocates a new variable and returns its index (1-based).
   unsigned newVar();
@@ -117,7 +137,7 @@ public:
   /// conjunction the clause database refutes. Empty when the database is
   /// unsatisfiable on its own — i.e. the assumptions are not to blame.
   const std::vector<Lit> &failedAssumptions() const {
-    return FailedAssumptions;
+    return Buf.FailedAssumptions;
   }
 
   /// Model access after a Sat result.
@@ -146,7 +166,7 @@ private:
 
   /// The literals of \p C. Valid until the pool next grows (a clause is
   /// allocated) or is compacted (reduceLearnts).
-  Lit *lits(const Clause &C) { return LitPool.data() + C.Begin; }
+  Lit *lits(const Clause &C) { return Buf.LitPool.data() + C.Begin; }
 
   struct Watcher {
     uint32_t ClauseIndex;
@@ -166,33 +186,59 @@ private:
     uint32_t Capacity = 0;
   };
 
+  /// Every growable buffer, so that the solver can park them all at once.
+  /// Flags are bytes, not std::vector<bool>, so every buffer has a data()
+  /// to poison.
+  struct Buffers {
+    std::vector<Clause> Clauses;
+    std::vector<Lit> LitPool; ///< Every clause's literals, back to back.
+    std::vector<uint32_t> FreeClauseSlots;
+    std::vector<Lit> AddBuffer;    ///< Scratch for normalizing added clauses.
+    std::vector<Lit> LearntBuffer; ///< Scratch for conflict analysis.
+    std::vector<Watcher> WatchPool; ///< Every watch list, in slices.
+    std::vector<WatchList> Watches; ///< Indexed by literal index.
+    std::vector<LBool> Assigns;     ///< Indexed by variable.
+    std::vector<int> Levels;        ///< Decision level per variable.
+    std::vector<int32_t> Reasons;   ///< Clause index or -1.
+    std::vector<Lit> Trail;
+    std::vector<size_t> TrailLimits;
+    std::vector<double> Activities;
+    std::vector<uint8_t> SavedPhases;
+    std::vector<uint8_t> Seen; ///< Scratch for conflict analysis.
+    /// Activity-ordered max-heap of decision candidates (MiniSat-style
+    /// order heap). HeapPosition[var-1] is the index in Heap or -1.
+    std::vector<unsigned> Heap;
+    std::vector<int> HeapPosition;
+    std::vector<Lit> FailedAssumptions;
+
+    Buffers() = default;
+    Buffers(Buffers &&) = default;
+    Buffers &operator=(Buffers &&) = default;
+    /// Unpoisons a parked set (ASan) so that it is freed clean.
+    ~Buffers() { setPoisoned(false); }
+
+    /// Applies \p F to every buffer.
+    template <typename Fn> void forEach(Fn F) {
+      F(Clauses), F(LitPool), F(FreeClauseSlots), F(AddBuffer),
+          F(LearntBuffer), F(WatchPool), F(Watches), F(Assigns), F(Levels),
+          F(Reasons), F(Trail), F(TrailLimits), F(Activities),
+          F(SavedPhases), F(Seen), F(Heap), F(HeapPosition),
+          F(FailedAssumptions);
+    }
+    size_t capacityBytes();
+    void setPoisoned(bool Poisoned);
+  };
+  /// The calling thread's parked buffers, if a dead solver left any.
+  static std::optional<Buffers> &parked();
+
+  Buffers Buf;
   unsigned VarCount = 0;
-  std::vector<Clause> Clauses;
-  std::vector<Lit> LitPool; ///< Every clause's literals, back to back.
-  std::vector<uint32_t> FreeClauseSlots;
   size_t LearntCount = 0;
-  std::vector<Lit> AddBuffer;    ///< Scratch for normalizing added clauses.
-  std::vector<Lit> LearntBuffer; ///< Scratch for conflict analysis.
-  std::vector<Watcher> WatchPool; ///< Every watch list, in slices.
-  std::vector<WatchList> Watches; ///< Indexed by literal index.
-  std::vector<LBool> Assigns;     ///< Indexed by variable.
-  std::vector<int> Levels;        ///< Decision level per variable.
-  std::vector<int32_t> Reasons;   ///< Clause index or -1.
-  std::vector<Lit> Trail;
-  std::vector<size_t> TrailLimits;
   size_t PropagationHead = 0;
-
-  std::vector<double> Activities;
   double ActivityIncrement = 1.0;
-  std::vector<bool> SavedPhases;
-  std::vector<bool> Seen; ///< Scratch for conflict analysis.
 
-  /// Activity-ordered max-heap of decision candidates (MiniSat-style
-  /// order heap). HeapPosition[var-1] is the index in Heap or -1.
-  std::vector<unsigned> Heap;
-  std::vector<int> HeapPosition;
   bool heapLess(unsigned A, unsigned B) const {
-    return Activities[A - 1] > Activities[B - 1];
+    return Buf.Activities[A - 1] > Buf.Activities[B - 1];
   }
   void heapPercolateUp(size_t Index);
   void heapPercolateDown(size_t Index);
@@ -203,9 +249,10 @@ private:
   uint64_t Propagations = 0;
   uint64_t Decisions = 0;
   bool Unsatisfiable = false;
-  std::vector<Lit> FailedAssumptions;
 
-  int decisionLevel() const { return static_cast<int>(TrailLimits.size()); }
+  int decisionLevel() const {
+    return static_cast<int>(Buf.TrailLimits.size());
+  }
   void enqueue(Lit L, int32_t Reason);
   int32_t propagate(); ///< Returns conflicting clause index or -1.
   void analyze(int32_t ConflictIndex, std::vector<Lit> &Learnt,

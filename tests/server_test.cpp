@@ -60,6 +60,17 @@ std::string satQueryVariant(int Floor) {
   return Text.replace(Text.find(From), From.size(), To);
 }
 
+/// SatQuery over the box [0, Max] instead of [0, 20], with the product
+/// bound scaled to match: a larger box needs a wider translation.
+std::string satQueryInBox(long long Max) {
+  std::string Text = SatQuery;
+  for (size_t At = Text.find(" 20)"); At != std::string::npos;
+       At = Text.find(" 20)", At + 1))
+    Text.replace(At + 1, 2, std::to_string(Max));
+  std::string From = " 380)";
+  return Text.replace(Text.find(From) + 1, 3, std::to_string(Max * Max - 20));
+}
+
 //===--------------------------------------------------------------------===//
 // Protocol framing over socketpairs (no live server needed).
 //===--------------------------------------------------------------------===//
@@ -380,10 +391,28 @@ TEST(ServerEndToEndTest, ShutdownVerbAnswersByeAndStopsAccepting) {
 // Concurrency (runs under the tsan preset's Parallel filter).
 //===--------------------------------------------------------------------===//
 
-TEST(ServerParallelTest, ConcurrentClientsHammerSharedShards) {
+// Every worker serves a mix of query sizes in sequence, so a query often
+// runs on SAT buffers that a larger or smaller one parked on the worker's
+// thread (solver/Sat.h). Each answer must carry the status, path and width
+// that evaluateQuery gives the same text on a fresh thread.
+TEST(ServerParallelTest, MixedQueriesAnswerAsOnAFreshThread) {
+  const std::vector<std::string> Queries = {
+      UnsatQuery, satQueryInBox(20), satQueryVariant(9), satQueryInBox(2000),
+      satQueryInBox(200000)};
+  const double Timeout = 10.0;
+  std::vector<QueryResult> Expected(Queries.size());
+  for (size_t Q = 0; Q < Queries.size(); ++Q)
+    std::thread([&, Q] {
+      Expected[Q] = evaluateQuery(Queries[Q], nullptr, Timeout);
+    }).join();
+  for (const QueryResult &R : Expected)
+    ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_LT(Expected[1].Width, Expected[3].Width);
+  EXPECT_LT(Expected[3].Width, Expected[4].Width);
+
   LiveServer Live;
   const int Clients = 6;
-  const int PerClient = 6;
+  const int PerClient = 10;
   std::atomic<int> Correct{0};
   std::vector<std::thread> Threads;
   for (int C = 0; C < Clients; ++C)
@@ -391,15 +420,12 @@ TEST(ServerParallelTest, ConcurrentClientsHammerSharedShards) {
       int Fd = Live.connect();
       if (Fd < 0)
         return;
+      // Query I of client C is Queries[(C + I) % size]; the id names I.
       std::string Writes;
-      for (int I = 0; I < PerClient; ++I) {
-        // Every client walks the same 4 near-duplicate variants plus an
-        // unsat query, so all workers stay busy on overlapping queries.
-        bool Unsat = I % 5 == 4;
-        std::string Id = "c" + std::to_string(C) + "q" + std::to_string(I);
-        Writes += formatQuery(Id, Unsat ? std::string(UnsatQuery)
-                                        : satQueryVariant(5 + (C + I) % 4));
-      }
+      for (int I = 0; I < PerClient; ++I)
+        Writes += formatQuery("c" + std::to_string(C) + "q" +
+                                  std::to_string(I),
+                              Queries[(C + I) % Queries.size()], Timeout);
       if (!writeAll(Fd, Writes)) {
         ::close(Fd);
         return;
@@ -411,17 +437,22 @@ TEST(ServerParallelTest, ConcurrentClientsHammerSharedShards) {
         if (!readResponseLine(Fd, Buffer, Line))
           break;
         std::vector<std::string> Tokens = splitTokens(Line);
-        if (Tokens.size() < 3 || Tokens[0] != "result") {
+        if (Tokens.size() < 5 || Tokens[0] != "result") {
           ADD_FAILURE() << "client " << C << " got: " << Line;
           continue;
         }
         size_t Q = Tokens[1].find('q');
         int Index = std::stoi(Tokens[1].substr(Q + 1));
-        std::string Expect = Index % 5 == 4 ? "unsat" : "sat";
-        if (Tokens[2] == Expect)
+        const QueryResult &Want = Expected[(C + Index) % Queries.size()];
+        if (Tokens[2] == toString(Want.Status) &&
+            Tokens[3] == "path=" + Want.Path &&
+            Tokens[4] == "width=" + std::to_string(Want.Width))
           Correct.fetch_add(1);
         else
-          ADD_FAILURE() << "client " << C << " got: " << Line;
+          ADD_FAILURE() << "client " << C << " got: " << Line
+                        << "; a fresh thread answers "
+                        << toString(Want.Status) << " path=" << Want.Path
+                        << " width=" << Want.Width;
       }
       ::close(Fd);
     });

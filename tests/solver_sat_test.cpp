@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <string>
+#include <thread>
 
 using namespace staub;
 
@@ -312,6 +314,34 @@ TEST(SatTest, PinnedSearchThroughLearntReduction) {
       {3, 200, 860, SatStatus::Unsat, 14761, 547248, 17886, 3451});
 }
 
+// A dying solver parks its buffers for the next solver on its thread
+// (solver/Sat.h); only capacities differ, so the search must not. After a
+// large solve leaves big buffers parked, the PinnedSearch* instances give
+// their pinned counts on recycled buffers, and again on fresh ones: a
+// second solver alive alongside takes whatever is parked.
+TEST(SatTest, RecycledStorageSearchesAsFresh) {
+  const PinnedSearch Pins[] = {
+      {1, 150, 640, SatStatus::Unsat, 1735, 52643, 2106, 1727},
+      {2, 150, 640, SatStatus::Sat, 1053, 33869, 1307, 1053},
+      {3, 150, 640, SatStatus::Unsat, 1499, 46570, 1838, 1490},
+      {4, 150, 640, SatStatus::Sat, 270, 8586, 388, 270},
+      {3, 200, 860, SatStatus::Unsat, 14761, 547248, 17886, 3451},
+  };
+  {
+    SatSolver Large;
+    ASSERT_TRUE(loadCnf(Large, 2000, random3Cnf(5, 2000, 8000)));
+    SatBudget Budget;
+    Budget.MaxConflicts = 2000;
+    Large.solve(Budget);
+  }
+  for (const PinnedSearch &Pin : Pins)
+    expectPinnedSearch(Pin);
+  for (const PinnedSearch &Pin : Pins) {
+    SatSolver Alive;
+    expectPinnedSearch(Pin);
+  }
+}
+
 /// True when the model of \p S satisfies every clause of \p Clauses.
 bool modelSatisfies(const SatSolver &S,
                     const std::vector<std::vector<int>> &Clauses) {
@@ -328,7 +358,9 @@ bool modelSatisfies(const SatSolver &S,
 // ... x13 false, and 64 copies of one long clause follow it: each link
 // moves all 64 watchers onto a list that must grow to hold them, so the
 // pool outgrows its capacity mid-walk several times. Random clauses added
-// afterwards make the answer one the search has to find.
+// afterwards make the answer one the search has to find. Each seed runs
+// on a fresh thread: a solver on buffers parked by an earlier one
+// (solver/Sat.h) would start with room enough and never reallocate.
 TEST(SatTest, WatchListsMoveWhilePropagating) {
   const unsigned NumVars = 14;
   std::vector<std::vector<int>> Chain(64, std::vector<int>(NumVars));
@@ -341,26 +373,28 @@ TEST(SatTest, WatchListsMoveWhilePropagating) {
   X1False.push_back({-1});
 
   for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    SatSolver S;
-    ASSERT_TRUE(loadCnf(S, NumVars, Chain));
-    ASSERT_EQ(S.solve({}, {Lit::fromDimacs(-1)}), SatStatus::Sat);
-    EXPECT_TRUE(modelSatisfies(S, X1False));
+    std::thread([&, Seed] {
+      SCOPED_TRACE("seed " + std::to_string(Seed));
+      SatSolver S;
+      ASSERT_TRUE(loadCnf(S, NumVars, Chain));
+      ASSERT_EQ(S.solve({}, {Lit::fromDimacs(-1)}), SatStatus::Sat);
+      EXPECT_TRUE(modelSatisfies(S, X1False));
 
-    std::vector<std::vector<int>> All = Chain;
-    for (const std::vector<int> &Clause : random3Cnf(Seed, NumVars, 28)) {
-      All.push_back(Clause);
-      std::vector<Lit> Lits;
-      for (int L : Clause)
-        Lits.push_back(Lit::fromDimacs(L));
-      S.addClause(Lits);
-    }
-    SatStatus Got = S.solve();
-    EXPECT_EQ(Got,
-              bruteForce(NumVars, All) ? SatStatus::Sat : SatStatus::Unsat);
-    if (Got == SatStatus::Sat) {
-      EXPECT_TRUE(modelSatisfies(S, All));
-    }
+      std::vector<std::vector<int>> All = Chain;
+      for (const std::vector<int> &Clause : random3Cnf(Seed, NumVars, 28)) {
+        All.push_back(Clause);
+        std::vector<Lit> Lits;
+        for (int L : Clause)
+          Lits.push_back(Lit::fromDimacs(L));
+        S.addClause(Lits);
+      }
+      SatStatus Got = S.solve();
+      EXPECT_EQ(Got, bruteForce(NumVars, All) ? SatStatus::Sat
+                                              : SatStatus::Unsat);
+      if (Got == SatStatus::Sat) {
+        EXPECT_TRUE(modelSatisfies(S, All));
+      }
+    }).join();
   }
 }
 
@@ -417,5 +451,21 @@ TEST(SatTest, EmptyClauseIsUnsat) {
   EXPECT_FALSE(S.addClause(std::vector<Lit>{}));
   EXPECT_EQ(S.solve(), SatStatus::Unsat);
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+// Under ASan a parked buffer is poisoned, so a read through a pointer into
+// a dead solver is still reported, as it was when its buffers were freed.
+TEST(SatTest, ParkedBufferUseIsReportedUnderAsan) {
+  const Lit *Stale = nullptr;
+  {
+    SatSolver S;
+    unsigned A = S.newVar();
+    S.addUnit(pos(A));
+    ASSERT_EQ(S.solve({}, {neg(A)}), SatStatus::Unsat);
+    Stale = S.failedAssumptions().data();
+  }
+  EXPECT_DEATH(std::printf("%u\n", Stale->var()), "use-after-poison");
+}
+#endif
 
 } // namespace
