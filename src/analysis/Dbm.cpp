@@ -6,7 +6,6 @@
 
 #include "analysis/Dbm.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <numeric>
@@ -30,11 +29,9 @@ bool addChecked(int64_t A, int64_t B, int64_t &Sum) {
 
 } // namespace
 
-Dbm::Dbm(unsigned NumNodes, bool TrackSources)
-    : N(NumNodes), TrackSources(TrackSources),
-      Exact(size_t(NumNodes) * NumNodes) {
-  if (TrackSources)
-    Sources.resize(size_t(N) * N);
+Dbm::Dbm(unsigned NumNodes)
+    : N(NumNodes), Exact(size_t(NumNodes) * NumNodes),
+      Sources(size_t(NumNodes) * NumNodes) {
   for (unsigned I = 0; I < N; ++I)
     Exact[size_t(I) * N + I] = Rational(0);
 }
@@ -46,9 +43,8 @@ void Dbm::tighten(unsigned I, unsigned J, const Rational &C,
   std::optional<Rational> &W = Exact[Idx];
   if (!W || C < *W) {
     W = C;
-    if (TrackSources)
-      Sources[Idx] = Srcs;
-  } else if (C == *W && TrackSources) {
+    Sources[Idx] = Srcs;
+  } else if (C == *W) {
     Sources[Idx].insert(Srcs.begin(), Srcs.end());
   }
   if (I == J && C < Rational(0))
@@ -65,12 +61,11 @@ std::optional<Rational> Dbm::at(unsigned I, unsigned J) const {
 }
 
 const std::set<unsigned> &Dbm::sourcesAt(unsigned I, unsigned J) const {
-  static const std::set<unsigned> None;
-  return TrackSources ? Sources[size_t(I) * N + J] : None;
+  return Sources[size_t(I) * N + J];
 }
 
 bool Dbm::close(bool InjectSkipLastPivot) {
-  if (enterFixed(/*Octagonal=*/false)) {
+  if (enterFixed()) {
     // The kernel rewrites provenance in place; keep the recorded sets so
     // an overflow can restart from the inputs.
     std::vector<std::pair<size_t, std::set<unsigned>>> Recorded;
@@ -93,39 +88,19 @@ bool Dbm::close(bool InjectSkipLastPivot) {
   return Consistent;
 }
 
-bool Dbm::strongClose() {
-  assert(N % 2 == 0 && !TrackSources && "octagon matrices pair their nodes");
-  if (enterFixed(/*Octagonal=*/true)) {
-    if (strongCloseFixed()) {
-      Exact = {};
-      return Consistent;
-    }
-    Scale = 0;
+bool Dbm::enterFixed() {
+  int64_t Unit = 1;
+  for (const std::optional<Rational> &W : Exact) {
+    if (!W || W->isInteger())
+      continue;
+    std::optional<int64_t> Den = W->denominator().toInt64();
+    if (!Den)
+      return false;
+    __int128 Lcm = __int128(Unit / std::gcd(Unit, *Den)) * *Den;
+    if (Lcm >= AdmissionLimit)
+      return false;
+    Unit = int64_t(Lcm);
   }
-  floydWarshallExact(false);
-  markNegativeCycles();
-  for (unsigned Round = 0; Round < 2 && Consistent; ++Round) {
-    strengthenExact();
-    floydWarshallExact(false);
-    markNegativeCycles();
-  }
-  return Consistent;
-}
-
-bool Dbm::enterFixed(bool Octagonal) {
-  int64_t Unit = Octagonal ? 4 : 1;
-  if (!Octagonal)
-    for (const std::optional<Rational> &W : Exact) {
-      if (!W || W->isInteger())
-        continue;
-      std::optional<int64_t> Den = W->denominator().toInt64();
-      if (!Den)
-        return false;
-      __int128 Lcm = __int128(Unit / std::gcd(Unit, *Den)) * *Den;
-      if (Lcm >= AdmissionLimit)
-        return false;
-      Unit = int64_t(Lcm);
-    }
   Fixed.assign(Exact.size(), Absent);
   for (size_t Idx = 0; Idx < Exact.size(); ++Idx) {
     const std::optional<Rational> &W = Exact[Idx];
@@ -133,7 +108,7 @@ bool Dbm::enterFixed(bool Octagonal) {
       continue;
     std::optional<int64_t> Num = W->numerator().toInt64();
     std::optional<int64_t> Den = W->denominator().toInt64();
-    if (!Num || !Den || (Octagonal && *Den != 1))
+    if (!Num || !Den)
       return false;
     __int128 Scaled = __int128(*Num) * (Unit / *Den);
     __int128 Magnitude = Scaled < 0 ? -Scaled : Scaled;
@@ -169,60 +144,10 @@ bool Dbm::floydWarshallFixed(bool InjectSkipLastPivot) {
           // loop.
           if (J == K)
             WIK = Via;
-          if (TrackSources)
-            relaxSources(I, K, J);
+          relaxSources(I, K, J);
         }
       }
     }
-  }
-  return true;
-}
-
-bool Dbm::strengthenFixed() {
-  for (unsigned I = 0; I < N; ++I) {
-    int64_t WI = Fixed[size_t(I) * N + (I ^ 1u)];
-    if (WI == Absent)
-      continue;
-    int64_t *RowI = &Fixed[size_t(I) * N];
-    for (unsigned J = 0; J < N; ++J) {
-      int64_t WJ = Fixed[size_t(J ^ 1u) * N + J];
-      if (J == I || WJ == Absent)
-        continue;
-      int64_t Sum;
-      if (!addChecked(WI, WJ, Sum))
-        return false;
-      // Integral inputs in quarter units: the first round halves
-      // multiples of 4, the second multiples of 2.
-      assert(Sum % 2 == 0 && "strengthening left the quarter grid");
-      RowI[J] = std::min(RowI[J], Sum / 2);
-    }
-  }
-  // D(+x, -x) = 2*sup(x) must be an even integer for integral x: round
-  // down to a multiple of 2*Scale units.
-  for (unsigned Node = 0; Node < N; ++Node) {
-    int64_t &W = Fixed[size_t(Node) * N + (Node ^ 1u)];
-    if (W == Absent)
-      continue;
-    int64_t Excess = W % (2 * Scale);
-    if (Excess < 0)
-      Excess += 2 * Scale;
-    if (__builtin_sub_overflow(W, Excess, &W))
-      return false;
-  }
-  return true;
-}
-
-bool Dbm::strongCloseFixed() {
-  // Consistent falls only after a completed pass, and the rounds stop
-  // once it has, so an overflow leaves the recorded flag for the
-  // fallback.
-  if (!floydWarshallFixed(false))
-    return false;
-  markNegativeCycles();
-  for (unsigned Round = 0; Round < 2 && Consistent; ++Round) {
-    if (!strengthenFixed() || !floydWarshallFixed(false))
-      return false;
-    markNegativeCycles();
   }
   return true;
 }
@@ -243,33 +168,10 @@ void Dbm::floydWarshallExact(bool InjectSkipLastPivot) {
         std::optional<Rational> &WIJ = Exact[size_t(I) * N + J];
         if (!WIJ || Via < *WIJ) {
           WIJ = std::move(Via);
-          if (TrackSources)
-            relaxSources(I, K, J);
+          relaxSources(I, K, J);
         }
       }
     }
-  }
-}
-
-void Dbm::strengthenExact() {
-  for (unsigned I = 0; I < N; ++I) {
-    const std::optional<Rational> &WI = Exact[size_t(I) * N + (I ^ 1u)];
-    if (!WI)
-      continue;
-    for (unsigned J = 0; J < N; ++J) {
-      const std::optional<Rational> &WJ = Exact[size_t(J ^ 1u) * N + J];
-      if (J == I || !WJ)
-        continue;
-      tighten(I, J, (*WI + *WJ) / Rational(2));
-    }
-  }
-  for (unsigned Node = 0; Node < N; ++Node) {
-    const std::optional<Rational> &W = Exact[size_t(Node) * N + (Node ^ 1u)];
-    if (!W)
-      continue;
-    Rational Even = Rational((*W / Rational(2)).floor()) * Rational(2);
-    if (Even < *W)
-      tighten(Node, Node ^ 1u, Even);
   }
 }
 
@@ -295,8 +197,6 @@ void Dbm::markNegativeCycles() {
 
 std::set<unsigned> Dbm::negativeCycleSources() const {
   std::set<unsigned> Out;
-  if (!TrackSources)
-    return Out;
   for (unsigned I = 0; I < N; ++I)
     if (negativeDiagonal(I)) {
       const std::set<unsigned> &Srcs = Sources[size_t(I) * N + I];

@@ -109,8 +109,7 @@ Rational widthRangeHi(unsigned Width);
 
 /// The exact rational value of a numeric constant term (Int, Real, or
 /// sign-interpreted BitVec); nullopt for anything else. Shared by the
-/// interval and relational (Zone/Octagon) fact harvesters so both sides
-/// of the translation read constants identically.
+/// interval and zone fact harvesters so both read constants identically.
 std::optional<Rational> numericConstOf(const TermManager &Manager, Term T);
 
 /// Decides whether the overflow predicate \p GuardKind (BvSAddO, BvSSubO,

@@ -9,13 +9,11 @@
 #include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
 #include "analysis/KnownBits.h"
-#include "analysis/Octagon.h"
 #include "smtlib/Printer.h"
 
 #include <map>
 #include <optional>
 #include <sstream>
-#include <tuple>
 
 using namespace staub;
 using namespace staub::analysis;
@@ -260,9 +258,24 @@ std::optional<std::string> checkNodeSorts(const TermManager &M, Term T) {
 // Guard discipline
 //===----------------------------------------------------------------------===//
 
-// Guard predicates and keys (overflowPredicateFor / makeGuardKey) are
-// shared with the elision side via analysis/Octagon.h so the two can
-// never drift.
+/// The overflow predicate guarding the bitvector operation \p OpKind;
+/// nullopt for kinds that need no guard.
+std::optional<Kind> overflowPredicateFor(Kind OpKind) {
+  switch (OpKind) {
+  case Kind::BvNeg:
+    return Kind::BvNegO;
+  case Kind::BvAdd:
+    return Kind::BvSAddO;
+  case Kind::BvSub:
+    return Kind::BvSSubO;
+  case Kind::BvMul:
+    return Kind::BvSMulO;
+  case Kind::BvSDiv:
+    return Kind::BvSDivO;
+  default:
+    return std::nullopt;
+  }
+}
 
 struct GuardInfo {
   Term Predicate; ///< The inner overflow-predicate application.
@@ -438,44 +451,6 @@ private:
     // translation (see Interval.h); BV nodes are clamped by their sort.
     IntervalSummary Intervals = analyzeIntervals(M, Assertions, {});
 
-    // The relational replay of the elision side's octagon: facts
-    // harvested from the bounded assertions, filtered by the one-pass
-    // validity rule — a fact reading through an overflow-capable op is
-    // usable iff that op's guard is present or the op is classically
-    // safe. Guard elision's sequential revalidation guarantees its final
-    // output re-proves under exactly this rule.
-    std::optional<Octagon> Oct;
-    if (Options.Relational) {
-      std::vector<RelFact> Facts = harvestRelationalFacts(M, Assertions);
-      if (!Facts.empty()) {
-        Oct.emplace();
-        for (Term T : AllNodes)
-          if (M.kind(T) == Kind::Variable && M.sort(T).isBitVec()) {
-            unsigned W = M.sort(T).bitVecWidth();
-            Oct->addVariable(T.id());
-            Oct->constrainVar(
-                T.id(), Interval::range(widthRangeLo(W), widthRangeHi(W)));
-          }
-        auto ClassicallySafe = [&](const RelFact &F) {
-          Kind Pred = *overflowPredicateFor(F.SourceOp);
-          Term SA(F.SourceA);
-          if (!M.sort(SA).isBitVec())
-            return false;
-          bool Unary = Pred == Kind::BvNegO;
-          return overflowImpossible(
-              Pred, Intervals.of(SA),
-              Unary ? Interval::top() : Intervals.of(Term(F.SourceB)),
-              M.sort(SA).bitVecWidth(), Bits.get(SA),
-              Unary ? KnownBits::top() : Bits.get(Term(F.SourceB)));
-        };
-        for (const RelFact &F : Facts)
-          if (!F.HasSource || Guards.count(relFactSourceKey(F)) ||
-              ClassicallySafe(F))
-            Oct->addFact(F);
-        Oct->close();
-      }
-    }
-
     for (Term T : AllNodes) {
       auto Predicate = overflowPredicateFor(M.kind(T));
       if (!Predicate || !M.sort(T).isBitVec())
@@ -493,41 +468,23 @@ private:
         // Known-bits facts join the interval facts: mask/shift-shaped
         // operands ((bvand x #x0f), constant shifts) discharge guards the
         // interval engine alone cannot.
-        bool Classic = overflowImpossible(
+        bool Proven = overflowImpossible(
             *Predicate, IA, IB, W, Bits.get(M.child(T, 0)),
             N > 1 ? Bits.get(M.child(T, 1)) : KnownBits::top());
-        bool RelProven =
-            !Classic && Oct &&
-            relationalOverflowImpossible(M, *Predicate, M.child(T, 0),
-                                         N > 1 ? M.child(T, 1) : Term(), IA,
-                                         IB, W, *Oct);
         if (Hit != Guards.end()) {
           Hit->second.Matched = true;
-          if (Classic)
+          if (Proven)
             warn("redundant-guard",
                  "guard provably never fires: " +
                      printTerm(M, Hit->second.Predicate),
                  Hit->second.Predicate);
-          else if (RelProven)
-            warn("correlated-guard",
-                 "guard provably never fires given the asserted variable "
-                 "correlations: " +
-                     printTerm(M, Hit->second.Predicate),
-                 Hit->second.Predicate);
-        } else if (!Classic && !RelProven && Options.RequireGuards) {
+        } else if (!Proven && Options.RequireGuards) {
           error("unguarded-overflow",
                 std::string(kindName(M.kind(T))) +
                     " is neither guarded nor provably overflow-free: " +
                     printTerm(M, T) + " with operand intervals " +
                     IA.toString() + ", " + IB.toString(),
                 T);
-        } else if (RelProven) {
-          warn("correlated-guard",
-               std::string(kindName(M.kind(T))) +
-                   " is unguarded and overflow-free only via the asserted "
-                   "variable correlations: " +
-                   printTerm(M, T),
-               T);
         }
         continue;
       }
@@ -588,6 +545,13 @@ private:
 };
 
 } // namespace
+
+GuardKey analysis::makeGuardKey(Kind Predicate, uint32_t A, uint32_t B) {
+  bool Commutative = Predicate == Kind::BvSAddO || Predicate == Kind::BvSMulO;
+  if (Commutative && B != UINT32_MAX && A > B)
+    std::swap(A, B);
+  return {static_cast<uint8_t>(Predicate), A, B};
+}
 
 bool LintReport::clean() const { return errorCount() == 0; }
 

@@ -37,6 +37,7 @@
 #include "smtlib/Term.h"
 
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -49,10 +50,7 @@ struct LintFinding {
   LintSeverity Severity = LintSeverity::Error;
   /// Stable check identifier: "unguarded-overflow", "sort-mismatch",
   /// "non-boolean-assertion", "map-totality", "orphan-guard",
-  /// "contradictory-guard", "redundant-guard", "correlated-guard" (an
-  /// operation is overflow-safe only because of asserted variable
-  /// correlations the relational domain tracks — the note marking
-  /// relational guard elisions and elision opportunities).
+  /// "contradictory-guard", "redundant-guard".
   std::string Check;
   std::string Detail;
   Term Offender; ///< May be invalid for non-structural findings.
@@ -72,12 +70,14 @@ struct LintOptions {
   /// Enforce guard discipline. On for translator output; off for foreign
   /// bounded scripts, which carry no guard contract.
   bool RequireGuards = true;
-  /// Accept (and note, as "correlated-guard" warnings) operations whose
-  /// safety rests on relational (octagon) facts. Must match the elision
-  /// side's TransformOptions::Relational for completeness: with elision
-  /// relational and lint not, relationally elided output lints dirty.
-  bool Relational = true;
 };
+
+/// Key identifying a guard: predicate kind plus operand term ids
+/// (normalized for the commutative BvSAddO/BvSMulO; B is UINT32_MAX for
+/// the unary BvNegO).
+using GuardKey = std::tuple<uint8_t, uint32_t, uint32_t>;
+
+GuardKey makeGuardKey(Kind Predicate, uint32_t A, uint32_t B);
 
 /// Lints a bounded assertion set structurally (well-sortedness, guard
 /// discipline and guard sanity per \p Options).

@@ -638,12 +638,11 @@ GeneratedConstraint correlatedChain(TermManager &M, unsigned Instance,
 /// Banded chain with an end-to-end consumer: w_0..w_8 with |w_i - w_{i+1}|
 /// <= 3, a breaker w_0 + w_1 <= -3 (kills the all-zero point and the
 /// anchor-free potential point, which is identically zero here), and a
-/// consumer constraint on w_0 - w_8. The consumer's bvssubo guard is
-/// unprovable from width-clamped boxes (the operands span the whole
-/// range) but the octagon chains the eight band facts into
-/// |w_0 - w_8| <= 24, discharging it statically; the band and breaker
-/// guards must stay. No variable has an absolute bound, so only the
-/// relational lane ever elides here.
+/// consumer constraint on w_0 - w_8. The eight band facts imply
+/// |w_0 - w_8| <= 24, but no variable has an absolute bound: the
+/// width-clamped boxes span the whole range and the zone projects no
+/// range either, so guard elision discharges nothing and all ten guards
+/// (eight bands, the breaker, the consumer) go to the bounded solve.
 GeneratedConstraint correlatedBands(TermManager &M, unsigned Instance,
                                     SplitMix64 &Rng) {
   constexpr unsigned K = 8;

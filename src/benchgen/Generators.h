@@ -96,7 +96,7 @@ generateStaticSuite(TermManager &Manager, const BenchConfig &Config);
 std::vector<GeneratedConstraint>
 generateEscalationSuite(TermManager &Manager, const BenchConfig &Config);
 
-/// The relational domain's dedicated suite (bench_presolve, octagon/zone
+/// The relational domain's dedicated suite (bench_presolve, zone
 /// section of docs/ANALYSIS.md): an Int mix built entirely from variable
 /// correlations (`x - y <= c`, band constraints, difference chains) that
 /// interval reasoning alone cannot exploit. Four families, cycled:
@@ -105,10 +105,10 @@ generateEscalationSuite(TermManager &Manager, const BenchConfig &Config);
 /// point, no finite box exists), long anchored difference chains whose
 /// backward propagation exceeds the HC4 round budget (relational closure
 /// makes every range finite, dropping the inferred width below the
-/// constant heuristic), and banded chains whose end-to-end difference
-/// guard only the octagon can discharge. Ground truth is planted
-/// throughout; the harness cross-checks that `--no-relational` agrees on
-/// every decisive verdict.
+/// constant heuristic), and banded chains with no absolute bound, whose
+/// guards the band facts imply but no variable range proves. Ground
+/// truth is planted throughout; the harness cross-checks that
+/// `--no-relational` agrees on every decisive verdict.
 std::vector<GeneratedConstraint>
 generateCorrelatedSuite(TermManager &Manager, const BenchConfig &Config);
 

@@ -7,15 +7,12 @@
 #include "fuzz/Oracles.h"
 #include "analysis/Lint.h"
 #include "analysis/Presolve.h"
-#include "analysis/Octagon.h"
 #include "analysis/Zone.h"
 #include "fuzz/Rewrite.h"
 #include "staub/BoundInference.h"
 #include "staub/Staub.h"
 #include "staub/Transform.h"
 #include "staub/WidthReduction.h"
-
-#include <algorithm>
 
 using namespace staub;
 
@@ -563,16 +560,16 @@ checkEscalationEquivalence(TermManager &Manager, const FuzzInstance &Instance,
   return std::nullopt;
 }
 
-/// relational-soundness: the zone/octagon layer (analysis/Zone.h) must be
+/// relational-soundness: the zone layer (analysis/Zone.h) must be
 /// a conservative abstraction of the instance. Three claims:
 ///
 ///  1. close() leaves a triangle-consistent matrix: for all I,J,K,
 ///     D(I,J) <= D(I,K) + D(K,J). Everything downstream (projections,
-///     potentials, negative-cycle certificates, pairwise bounds) assumes
-///     the matrix is shortest-path closed, and this self-check is the
-///     only oracle that can see *under*-closure — dropped relaxations
-///     only ever make verdicts more conservative, never wrong, which is
-///     exactly why --inject=bad-closure must be caught here.
+///     potentials, negative-cycle certificates) assumes the matrix is
+///     shortest-path closed, and this self-check is the only oracle
+///     that can see *under*-closure — dropped relaxations only ever
+///     make verdicts more conservative, never wrong, which is exactly
+///     why --inject=bad-closure must be caught here.
 ///  2. The closure never excludes a real model: when the planted witness
 ///     re-validates on the original right here, every registered
 ///     variable's closure projection contains its value, and the zone
@@ -624,20 +621,12 @@ checkRelationalSoundness(TermManager &Manager, const FuzzInstance &Instance,
     return std::nullopt;
 
   // Pipeline agreement: relational on vs. off. Only worth two solver
-  // runs when the relational passes can actually fire: the presolver's
-  // zone pass needs a var-var difference edge, and elision's octagon
-  // needs a binary or op-sourced fact (mirroring the gates in
-  // Presolve.cpp and Transform.cpp). Without either, the two
-  // configurations are the same code path and the comparison is vacuous.
-  if (!Z.hasBinaryConstraints()) {
-    std::vector<analysis::RelFact> Facts =
-        analysis::harvestRelationalFacts(Manager, Instance.Assertions);
-    if (std::none_of(Facts.begin(), Facts.end(),
-                     [](const analysis::RelFact &F) {
-                       return F.SY != 0 || F.HasSource;
-                     }))
-      return std::nullopt;
-  }
+  // runs when the presolver's zone pass can actually fire, which needs a
+  // var-var difference edge (mirroring the gate in Presolve.cpp).
+  // Without one, the two configurations are the same code path and the
+  // comparison is vacuous.
+  if (!Z.hasBinaryConstraints())
+    return std::nullopt;
   StaubOutcome Rel = runStaub(Manager, Instance.Assertions, Backend,
                               pipelineOptions(Options));
   if (stopRequested(Options.Cancel))

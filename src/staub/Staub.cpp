@@ -103,8 +103,6 @@ TransformResult staub::translate(TermManager &Manager,
     return transformRealToFp(Manager, Assertions, Target.Format);
   TransformOptions TOpts;
   TOpts.ElideGuards = Options.ElideGuards;
-  TOpts.Relational = Options.Relational;
-  TOpts.Cancel = Options.Solve.Cancel;
   return transformIntToBv(Manager, Assertions, Target.Width, TOpts);
 }
 
@@ -324,8 +322,6 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   Outcome.BoundedAssertions = Transform.Assertions;
   Outcome.GuardsEmitted = Transform.GuardsEmitted;
   Outcome.GuardsElided = Transform.GuardsElided;
-  Outcome.ZoneFactsHarvested = Transform.ZoneFactsHarvested;
-  Outcome.RelationalGuardsElided = Transform.RelationalGuardsElided;
 
   // Optional bounded-theory optimizer (SLOT, RQ2).
   std::vector<Term> ToSolve = Transform.Assertions;

@@ -43,11 +43,10 @@ struct StaubOptions {
   /// Statically discharge overflow guards proven impossible at the chosen
   /// width (analysis/Interval.h) and drop them before solving.
   bool ElideGuards = true;
-  /// Use the relational (zone/octagon) domain throughout the pipeline:
-  /// the presolver alternates HC4 with zone closure (deciding difference
-  /// cycles statically) and guard elision additionally discharges guards
-  /// provable from `x - y <= c`-shaped correlations. `staub
-  /// --no-relational` clears this; verdicts must agree either way.
+  /// Let the presolver alternate HC4 with zone closure, deciding
+  /// difference cycles statically and narrowing ranges through
+  /// `x - y <= c` facts (analysis/Zone.h). `staub --no-relational` clears
+  /// this; verdicts must agree either way.
   bool Relational = true;
   /// Width policy. The default follows the paper's Fig. 1b: variables take
   /// the assumption width x (largest constant + 1) and the overflow guards
@@ -110,7 +109,7 @@ TranslationTarget chooseTarget(
     const std::unordered_map<uint32_t, analysis::Interval> *Ranges = nullptr);
 
 /// Translates \p Assertions to \p Target, eliding guards as Options'
-/// ElideGuards and Relational say and polling Options.Solve.Cancel.
+/// ElideGuards says.
 TransformResult translate(TermManager &Manager,
                           const std::vector<Term> &Assertions,
                           const TranslationTarget &Target,
@@ -183,11 +182,6 @@ struct StaubOutcome {
   /// Overflow guards kept vs. statically discharged (Int lane).
   unsigned GuardsEmitted = 0;
   unsigned GuardsElided = 0;
-  /// Relational elision counters (Int lane): octagon facts harvested
-  /// from the original assertions, and guards only the relational domain
-  /// could discharge (a subset of GuardsElided).
-  unsigned ZoneFactsHarvested = 0;
-  unsigned RelationalGuardsElided = 0;
   /// Width-escalation ladder counters (zero when the ladder never ran).
   unsigned EscalationSteps = 0; ///< Widths tried beyond the inferred one.
   /// Always 0; perfbench names it.

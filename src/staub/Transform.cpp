@@ -7,13 +7,11 @@
 #include "staub/Transform.h"
 
 #include "analysis/Interval.h"
-#include "analysis/Octagon.h"
 #include "staub/Config.h"
 
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <set>
 
 using namespace staub;
 using analysis::Interval;
@@ -364,219 +362,6 @@ private:
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Relational guard elision
-//===----------------------------------------------------------------------===//
-
-/// A kept guard whose operands map back to original-side variables or
-/// constants, so the Int-side relational oracle can judge it.
-struct GuardCandidate {
-  size_t Index; ///< Position in the guard block of the result.
-  Kind Pred;
-  Term OrigA, OrigB; ///< Invalid for constants / the missing unary B.
-  Interval IA, IB;
-  bool Keyed = false; ///< Both operands are original variables.
-};
-
-/// The relational elision post-pass: discharges kept guards the octagon
-/// domain proves safe. Elision is sequential — one guard at a time, in
-/// one pass over the candidates, with every previously elided guard
-/// re-proven against the shrunken kept set — so the final state satisfies
-/// staub-lint's one-pass rule: each elided guard is provable from exactly
-/// the facts whose source operations are still guarded (or classically
-/// safe). Facts sourced from an op whose guard we elide stop being usable,
-/// which is what makes early elisions need revalidation. A stop on
-/// \p Cancel ends the pass between candidates with the guards elided so
-/// far; every intermediate state of the pass already satisfies that rule,
-/// and keeping a guard is always sound. \p Intervals is the summary of
-/// \p Originals under the width clamp that classic elision used.
-void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
-                     unsigned Width,
-                     const analysis::IntervalSummary &Intervals,
-                     const CancellationToken *Cancel,
-                     TransformResult &Result) {
-  std::vector<analysis::RelFact> Facts =
-      analysis::harvestRelationalFacts(Manager, Originals);
-  Result.ZoneFactsHarvested = static_cast<unsigned>(Facts.size());
-  size_t NumGuards = Result.Assertions.size() - Result.TranslatedCount;
-  if (Facts.empty() || NumGuards == 0)
-    return;
-  // A fact can only beat classic interval elision if it relates two
-  // variables or was read through an overflow-capable op (the harvest's
-  // backward step — e.g. y <= c-22 from (add y 22) <= c — which the
-  // interval engine's var-const atom harvest does not perform). Plain
-  // unary var-const facts replicate interval conclusions exactly, so an
-  // octagon built from those alone proves nothing new; skip the
-  // machinery there (the common case for fuzzed constraints). Lint's
-  // relational replay re-proves elisions under the same rule, so this
-  // gate must not skip any instance the replay could decide differently.
-  if (std::none_of(Facts.begin(), Facts.end(),
-                   [](const analysis::RelFact &F) {
-                     return F.SY != 0 || F.HasSource;
-                   }))
-    return;
-
-  // Bounded variable id -> original variable.
-  std::unordered_map<uint32_t, Term> Inverse;
-  for (const auto &[OrigId, Mapped] : Result.VariableMap)
-    Inverse.emplace(Mapped.id(), Term(OrigId));
-
-  Interval WidthRange = Interval::range(analysis::widthRangeLo(Width),
-                                        analysis::widthRangeHi(Width));
-
-  // Maps a bounded guard operand back to the original side: a mapped
-  // variable (term + its interval), a constant (point interval, no
-  // term), or nothing (compound operand — not a candidate).
-  auto OriginalOf =
-      [&](Term Bounded) -> std::optional<std::pair<Term, Interval>> {
-    if (Manager.kind(Bounded) == Kind::Variable) {
-      auto Hit = Inverse.find(Bounded.id());
-      if (Hit == Inverse.end())
-        return std::nullopt;
-      return std::make_pair(Hit->second, Intervals.of(Hit->second));
-    }
-    if (Manager.kind(Bounded) == Kind::ConstBitVec)
-      return std::make_pair(
-          Term(), Interval::point(Rational(Manager.bitVecValue(Bounded)
-                                               .toSigned())));
-    return std::nullopt;
-  };
-
-  std::vector<GuardCandidate> Cands;
-  for (size_t J = 0; J < NumGuards; ++J) {
-    Term G = Result.Assertions[Result.TranslatedCount + J];
-    if (Manager.kind(G) != Kind::Not)
-      continue;
-    Term Pred = Manager.child(G, 0);
-    Kind PK = Manager.kind(Pred);
-    if (PK != Kind::BvNegO && PK != Kind::BvSAddO && PK != Kind::BvSSubO &&
-        PK != Kind::BvSMulO && PK != Kind::BvSDivO)
-      continue;
-    auto A = OriginalOf(Manager.child(Pred, 0));
-    if (!A)
-      continue;
-    GuardCandidate C;
-    C.Index = J;
-    C.Pred = PK;
-    C.OrigA = A->first;
-    C.IA = A->second;
-    if (Manager.numChildren(Pred) > 1) {
-      auto B = OriginalOf(Manager.child(Pred, 1));
-      if (!B)
-        continue;
-      C.OrigB = B->first;
-      C.IB = B->second;
-      C.Keyed = C.OrigA.isValid() && C.OrigB.isValid();
-    } else {
-      C.Keyed = C.OrigA.isValid();
-    }
-    Cands.push_back(C);
-  }
-  if (Cands.empty())
-    return;
-
-  std::vector<char> Kept(NumGuards, 1);
-
-  // Original-side keys of the guards that can source facts (fact source
-  // operations always have variable operands). Taken from every keyed
-  // candidate before the pre-filter below: a guard it drops stays in the
-  // output, so the facts it protects stay valid, as lint sees them.
-  std::vector<std::pair<size_t, analysis::GuardKey>> GuardKeys;
-  for (const GuardCandidate &C : Cands)
-    if (C.Keyed)
-      GuardKeys.emplace_back(
-          C.Index, analysis::makeGuardKey(C.Pred, C.OrigA.id(),
-                                          C.OrigB.isValid() ? C.OrigB.id()
-                                                            : UINT32_MAX));
-  auto KeysOf = [&](const std::vector<char> &KeptNow) {
-    std::set<analysis::GuardKey> Keys;
-    for (const auto &[Index, Key] : GuardKeys)
-      if (KeptNow[Index])
-        Keys.insert(Key);
-    return Keys;
-  };
-
-  // A fact reading through an unguarded source stays usable only if the
-  // source is classically safe — the mirror of lint's validity rule
-  // (lint may additionally use known bits, accepting a superset).
-  auto ClassicallySafe = [&](const analysis::RelFact &F) {
-    Kind Pred = *analysis::overflowPredicateFor(F.SourceOp);
-    const Interval &SA = Intervals.of(Term(F.SourceA));
-    Interval SB =
-        Pred == Kind::BvNegO ? Interval::top() : Intervals.of(Term(F.SourceB));
-    return analysis::overflowImpossible(Pred, SA, SB, Width,
-                                        analysis::KnownBits::top(),
-                                        analysis::KnownBits::top());
-  };
-
-  auto BuildOctagon = [&](const std::set<analysis::GuardKey> &Keys) {
-    analysis::Octagon Oct;
-    for (const auto &[OrigId, Mapped] : Result.VariableMap) {
-      Oct.addVariable(OrigId);
-      Oct.constrainVar(OrigId, WidthRange);
-    }
-    for (const analysis::RelFact &F : Facts)
-      if (!F.HasSource || Keys.count(analysis::relFactSourceKey(F)) ||
-          ClassicallySafe(F))
-        Oct.addFact(F);
-    Oct.close();
-    return Oct;
-  };
-
-  auto Provable = [&](const GuardCandidate &C, const analysis::Octagon &Oct) {
-    return analysis::relationalOverflowImpossible(
-        Manager, C.Pred, C.OrigA, C.OrigB, C.IA, C.IB, Width, Oct);
-  };
-
-  // Pre-filter: usable facts only shrink as guards go away, so a guard
-  // unprovable from the maximal fact set is never elidable.
-  {
-    analysis::Octagon Max = BuildOctagon(KeysOf(Kept));
-    std::erase_if(Cands, [&](const GuardCandidate &C) {
-      return !Provable(C, Max);
-    });
-  }
-
-  // One forward pass. The kept set only shrinks, so the usable facts only
-  // shrink; closure and the oracle are monotone in them; and the set of
-  // elided guards to revalidate only grows. A candidate that fails once
-  // would fail on every retry, so rescanning after an elision finds
-  // nothing new.
-  std::vector<size_t> Elided; // Indices into Cands, in elision order.
-  for (size_t CI = 0; CI < Cands.size(); ++CI) {
-    if (stopRequested(Cancel))
-      break;
-    const GuardCandidate &C = Cands[CI];
-    std::vector<char> Next = Kept;
-    Next[C.Index] = 0;
-    analysis::Octagon Oct = BuildOctagon(KeysOf(Next));
-    bool Ok = Provable(C, Oct);
-    for (size_t EI : Elided) {
-      if (!Ok)
-        break;
-      Ok = Provable(Cands[EI], Oct);
-    }
-    if (Ok) {
-      Kept = std::move(Next);
-      Elided.push_back(CI);
-    }
-  }
-  if (Elided.empty())
-    return;
-
-  std::vector<Term> NewAssertions(Result.Assertions.begin(),
-                                  Result.Assertions.begin() +
-                                      Result.TranslatedCount);
-  for (size_t J = 0; J < NumGuards; ++J)
-    if (Kept[J])
-      NewAssertions.push_back(Result.Assertions[Result.TranslatedCount + J]);
-  Result.Assertions = std::move(NewAssertions);
-  unsigned Count = static_cast<unsigned>(Elided.size());
-  Result.RelationalGuardsElided = Count;
-  Result.GuardsEmitted -= Count;
-  Result.GuardsElided += Count;
-}
-
 } // namespace
 
 TransformResult staub::transformIntToBv(TermManager &Manager,
@@ -594,9 +379,6 @@ TransformResult staub::transformIntToBv(TermManager &Manager,
                        Intervals ? &*Intervals : nullptr);
   TransformResult Result = Translator.run(Assertions);
   Result.Width = Width;
-  if (Result.Ok && Options.ElideGuards && Options.Relational)
-    relationalElide(Manager, Assertions, Width, *Intervals, Options.Cancel,
-                    Result);
   return Result;
 }
 

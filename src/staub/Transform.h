@@ -20,7 +20,6 @@
 #define STAUB_STAUB_TRANSFORM_H
 
 #include "smtlib/Term.h"
-#include "support/Cancellation.h"
 #include "theory/Evaluator.h"
 
 #include <string>
@@ -37,17 +36,6 @@ struct TransformOptions {
   /// provability predicate, so lint accepts elided output by
   /// construction.
   bool ElideGuards = true;
-  /// Additionally discharge guards via the relational (octagon) domain:
-  /// facts like `x - y <= c` harvested from the original assertions prove
-  /// guards the per-variable interval projections cannot (e.g. the
-  /// subtraction under a correlated difference bound). Sequential
-  /// elide-and-revalidate keeps the final state exactly reproducible by
-  /// staub-lint's one-pass fact-validity rule. Requires ElideGuards.
-  bool Relational = true;
-  /// The query's token (not owned; null = never stops). Relational
-  /// elision polls it between candidates and, once it fires, keeps every
-  /// guard it has not yet elided.
-  const CancellationToken *Cancel = nullptr;
 };
 
 /// Result of translating a constraint into a bounded theory.
@@ -68,11 +56,7 @@ struct TransformResult {
   /// Overflow guards kept in Assertions vs. statically discharged.
   unsigned GuardsEmitted = 0;
   unsigned GuardsElided = 0;
-  /// Relational facts (octagon atoms) harvested from the original
-  /// assertions during the relational elision pass.
-  unsigned ZoneFactsHarvested = 0;
-  /// Guards discharged by the relational pass specifically (a subset of
-  /// GuardsElided: classic interval elision could not prove these).
+  /// Always 0; perfbench names it.
   unsigned RelationalGuardsElided = 0;
 };
 

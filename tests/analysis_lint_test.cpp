@@ -160,6 +160,28 @@ TEST(LintTest, MaskedOperandsDischargeGuardViaKnownBits) {
   EXPECT_FALSE(lintBounded(M, Unmasked).clean());
 }
 
+TEST(LintTest, CorrelationAloneDoesNotDischargeAGuard) {
+  // x <= y and y <= x bound x - y to [0, 0], but each operand alone spans
+  // the whole 8-bit range. Lint discharges a guard by operand intervals
+  // and known bits only, so the unguarded bvsub is an error.
+  TermManager M;
+  Term X = M.mkVariable("lr_x", Sort::bitVec(8));
+  Term Y = M.mkVariable("lr_y", Sort::bitVec(8));
+  std::vector<Term> Assertions = {
+      M.mkApp(Kind::BvSle, std::vector<Term>{X, Y}),
+      M.mkApp(Kind::BvSle, std::vector<Term>{Y, X}),
+      M.mkEq(M.mkApp(Kind::BvSub, std::vector<Term>{X, Y}),
+             M.mkBitVecConst(BitVecValue(8, BigInt(0))))};
+  LintReport Report = lintBounded(M, Assertions);
+  EXPECT_FALSE(Report.clean());
+  EXPECT_TRUE(hasCheck(Report, "unguarded-overflow")) << Report.toString();
+}
+
+TEST(LintTest, GuardKeyNormalizesCommutativeOperands) {
+  EXPECT_EQ(makeGuardKey(Kind::BvSAddO, 9, 3), makeGuardKey(Kind::BvSAddO, 3, 9));
+  EXPECT_NE(makeGuardKey(Kind::BvSSubO, 9, 3), makeGuardKey(Kind::BvSSubO, 3, 9));
+}
+
 //===--------------------------------------------------------------------===//
 // Acceptance campaign: 100% static detection of drop-guards mutants.
 //===--------------------------------------------------------------------===//

@@ -6,25 +6,21 @@
 ///
 /// \file
 /// Units for the relational abstract-domain layer (analysis/Dbm.h,
-/// analysis/Zone.h, analysis/Octagon.h): Floyd-Warshall closure and its
-/// negative-cycle unsat certificate, provenance threading, the
-/// bad-closure injection's triangle-consistency signature, the
-/// fixed-point kernel and every Rational fallback against a test-local
-/// Rational reference, zone fact harvesting and transitive projections,
-/// shortest-path potentials, the octagon's signed-variable encoding with
-/// integer tightening, and the shared relational overflow oracle.
+/// analysis/Zone.h): Floyd-Warshall closure and its negative-cycle unsat
+/// certificate, provenance threading, the bad-closure injection's
+/// triangle-consistency signature, the fixed-point kernel and every
+/// Rational fallback against a test-local Rational reference, zone fact
+/// harvesting and transitive projections, and shortest-path potentials.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Dbm.h"
-#include "analysis/Octagon.h"
 #include "analysis/Zone.h"
 #include "smtlib/Term.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <tuple>
 
@@ -107,9 +103,8 @@ TEST(DbmTest, InjectedSkipLastPivotLeavesTriangleInconsistency) {
 //===--------------------------------------------------------------------===//
 
 /// A test-local Rational closure with provenance, written apart from
-/// Dbm: Floyd-Warshall and the octagon's two-round strong closure over
-/// std::optional<Rational>. The kernel, and its fallback, must agree with
-/// it entry for entry.
+/// Dbm: Floyd-Warshall over std::optional<Rational>. The kernel, and its
+/// fallback, must agree with it entry for entry.
 class ReferenceDbm {
 public:
   explicit ReferenceDbm(unsigned N) : N(N), W(N * N), Src(N * N) {
@@ -156,23 +151,6 @@ public:
         Consistent = false;
   }
 
-  void strongClose() {
-    close();
-    for (unsigned Round = 0; Round < 2 && Consistent; ++Round) {
-      for (unsigned I = 0; I < N; ++I)
-        for (unsigned J = 0; J < N; ++J) {
-          const std::optional<Rational> &A = W[I * N + (I ^ 1u)];
-          const std::optional<Rational> &B = W[(J ^ 1u) * N + J];
-          if (J != I && A && B)
-            tighten(I, J, (*A + *B) / Q(2));
-        }
-      for (unsigned I = 0; I < N; ++I)
-        if (const std::optional<Rational> &A = W[I * N + (I ^ 1u)])
-          tighten(I, I ^ 1u, Rational((*A / Q(2)).floor()) * Q(2));
-      close();
-    }
-  }
-
   const std::optional<Rational> &at(unsigned I, unsigned J) const {
     return W[I * N + J];
   }
@@ -211,9 +189,8 @@ std::string show(const std::optional<Rational> &W) {
   return W ? W->toString() : "absent";
 }
 
-/// Every observable of \p D equals the reference's. Provenance is
-/// compared too: an untracked matrix and a reference fed no sources are
-/// both empty.
+/// Every observable of \p D equals the reference's, provenance
+/// included.
 testing::AssertionResult agrees(const Dbm &D, const ReferenceDbm &R) {
   if (D.consistent() != R.consistent())
     return testing::AssertionFailure() << "consistent() differs";
@@ -272,83 +249,6 @@ TEST(DbmTest, KernelMatchesRationalReferenceOnRandomZones) {
   EXPECT_GT(Consistent, 40u) << Consistent;
   EXPECT_GT(Cycles, 40u) << Cycles;
   EXPECT_GT(Mutants, 5u) << Mutants;
-}
-
-TEST(OctagonTest, KernelMatchesRationalReferenceOnRandomOctagons) {
-  SplitMix64 Rng(1009);
-  unsigned Kernel = 0, Fallback = 0, Halves = 0, Inconsistent = 0;
-  for (unsigned Round = 0; Round < 400; ++Round) {
-    unsigned Vars = 2 + unsigned(Rng.below(7));
-    unsigned Width = 4 + unsigned(Rng.below(61));
-    unsigned N = 2 * Vars;
-    Dbm D(N, /*TrackSources=*/false);
-    ReferenceDbm R(N);
-    auto Record = [&](unsigned I, unsigned J, const Rational &C) {
-      D.tighten(I, J, C);
-      R.tighten(I, J, C);
-    };
-    // Every variable ranges over the signed width, doubled on its pair.
-    Rational Half(BigInt::pow2(Width - 1));
-    for (unsigned K = 0; K < Vars; ++K) {
-      Record(2 * K, 2 * K + 1, (Half - Q(1)) * Q(2));
-      Record(2 * K + 1, 2 * K, Half * Q(2));
-    }
-    int64_t Spread = int64_t(1) << std::min(Width - 1, 3u);
-    unsigned Facts = unsigned(Rng.below(4 * Vars + 1));
-    for (unsigned F = 0; F < Facts; ++F) {
-      unsigned NX = unsigned(Rng.below(N));
-      if (Rng.chance(1, 2)) {
-        // An odd doubled unary bound: strengthening halves it.
-        Record(NX, NX ^ 1u, Q(2 * Rng.range(-Spread, Spread) + 1));
-        continue;
-      }
-      // +-x +-y <= C with its coherent dual edge.
-      unsigned NY = unsigned(Rng.below(N));
-      Rational C = Q(Rng.range(-Spread, Spread));
-      Record(NX, NY, C);
-      Record(NY ^ 1u, NX ^ 1u, C);
-    }
-    D.strongClose();
-    R.strongClose();
-    ASSERT_TRUE(agrees(D, R)) << "round " << Round << ", width " << Width;
-    (D.fixedPoint() ? Kernel : Fallback) += 1;
-    Inconsistent += !R.consistent();
-    for (unsigned I = 0; I < N; ++I)
-      for (unsigned J = 0; J < N; ++J)
-        Halves += R.at(I, J) && !R.at(I, J)->isInteger();
-  }
-  // Narrow widths stay in the kernel, the widest fall back. Tightened
-  // consistent octagons end on integers; strengthened halves survive
-  // where a later pass stops on a contradiction.
-  EXPECT_GT(Kernel, 200u) << Kernel;
-  EXPECT_GT(Fallback, 20u) << Fallback;
-  EXPECT_GT(Halves, 0u) << Halves;
-  EXPECT_GT(Inconsistent, 0u) << Inconsistent;
-}
-
-TEST(OctagonTest, Width64OctagonTakesTheRationalFallback) {
-  // x in [-2^63, 2^63 - 1] doubles to 2^64 on the pair: past admission.
-  Dbm D(4, /*TrackSources=*/false);
-  ReferenceDbm R(4);
-  Rational Half(BigInt::pow2(63));
-  for (unsigned K = 0; K < 2; ++K) {
-    for (auto [I, J, C] : {std::tuple{2 * K, 2 * K + 1, (Half - Q(1)) * Q(2)},
-                           std::tuple{2 * K + 1, 2 * K, Half * Q(2)}}) {
-      D.tighten(I, J, C);
-      R.tighten(I, J, C);
-    }
-  }
-  // x + y <= 5 and x - y <= 0, with their duals: 2x <= 5 rounds to 4.
-  for (auto [I, J, C] : {std::tuple{0u, 3u, 5}, std::tuple{2u, 1u, 5},
-                         std::tuple{0u, 2u, 0}, std::tuple{3u, 1u, 0}}) {
-    D.tighten(I, J, Q(C));
-    R.tighten(I, J, Q(C));
-  }
-  ASSERT_TRUE(D.strongClose());
-  R.strongClose();
-  EXPECT_FALSE(D.fixedPoint());
-  EXPECT_TRUE(agrees(D, R));
-  EXPECT_EQ(*D.at(0, 1), Q(4));
 }
 
 TEST(DbmTest, HugeConstantsAndDenominatorsTakeTheRationalFallback) {
@@ -532,169 +432,6 @@ TEST(ZoneTest, EmptySeedRangeIsContradiction) {
   Z.constrainVar(X.id(), Interval::bottom(), {3});
   EXPECT_FALSE(Z.close());
   EXPECT_TRUE(Z.negativeCycleSources().count(3));
-}
-
-//===--------------------------------------------------------------------===//
-// Octagon domain.
-//===--------------------------------------------------------------------===//
-
-RelFact fact(uint32_t X, int SX, uint32_t Y, int SY, int64_t C) {
-  RelFact F;
-  F.X = X;
-  F.SX = SX;
-  F.Y = Y;
-  F.SY = SY;
-  F.C = Q(C);
-  return F;
-}
-
-TEST(OctagonTest, SignedEncodingRoundTripsPairBounds) {
-  TermManager M;
-  Term X = M.mkVariable("x", Sort::integer());
-  Term Y = M.mkVariable("y", Sort::integer());
-  Octagon Oct;
-  Oct.addVariable(X.id());
-  Oct.addVariable(Y.id());
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5)));  // x + y <= 5
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 1))); // x - y <= 1
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, 0, 0, 0)));      // -x <= 0
-  ASSERT_TRUE(Oct.close());
-  ASSERT_TRUE(Oct.consistent());
-  auto Sum = Oct.pairUpper(X.id(), 1, Y.id(), 1);
-  ASSERT_TRUE(Sum.has_value());
-  EXPECT_EQ(*Sum, Q(5));
-  auto Diff = Oct.pairUpper(X.id(), 1, Y.id(), -1);
-  ASSERT_TRUE(Diff.has_value());
-  EXPECT_EQ(*Diff, Q(1));
-  // Strengthening: (x+y) + (x-y) <= 6 gives 2x <= 6, so x in [0, 3].
-  Interval IX = Oct.varInterval(X.id());
-  ASSERT_TRUE(IX.Lo.has_value() && IX.Hi.has_value());
-  EXPECT_EQ(*IX.Lo, Q(0));
-  EXPECT_EQ(*IX.Hi, Q(3));
-}
-
-TEST(OctagonTest, IntegerTighteningRoundsOddUnaryBoundsDown) {
-  // x + y <= 5 and x - y <= 0 give 2x <= 5; over Int the unary bound
-  // tightens to x <= 2.
-  TermManager M;
-  Term X = M.mkVariable("x", Sort::integer());
-  Term Y = M.mkVariable("y", Sort::integer());
-  Octagon Oct;
-  Oct.addVariable(X.id());
-  Oct.addVariable(Y.id());
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5)));
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 0)));
-  ASSERT_TRUE(Oct.close());
-  Interval IX = Oct.varInterval(X.id());
-  ASSERT_TRUE(IX.Hi.has_value());
-  EXPECT_EQ(*IX.Hi, Q(2));
-}
-
-TEST(OctagonTest, ContradictoryFactsAreInconsistent) {
-  TermManager M;
-  Term X = M.mkVariable("x", Sort::integer());
-  Term Y = M.mkVariable("y", Sort::integer());
-  Octagon Oct;
-  Oct.addVariable(X.id());
-  Oct.addVariable(Y.id());
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 0)));   // x + y <= 0
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), -1, -1))); // -x - y <= -1
-  EXPECT_FALSE(Oct.close());
-  EXPECT_FALSE(Oct.consistent());
-}
-
-TEST(OctagonTest, FactsReferencingUnregisteredVariablesAreIgnored) {
-  TermManager M;
-  Term X = M.mkVariable("x", Sort::integer());
-  Term Y = M.mkVariable("y", Sort::integer());
-  Octagon Oct;
-  Oct.addVariable(X.id());
-  EXPECT_FALSE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 5)));
-  EXPECT_TRUE(Oct.addFact(fact(X.id(), 1, 0, 0, 7)));
-}
-
-TEST(OctagonTest, HarvestRecognizesSumDiffNegAndVarAtoms) {
-  TermManager M;
-  Term X = M.mkVariable("x", Sort::integer());
-  Term Y = M.mkVariable("y", Sort::integer());
-  std::vector<Term> Assertions = {
-      M.mkCompare(Kind::Le, M.mkAdd(std::vector<Term>{X, Y}),
-                  M.mkIntConst(BigInt(7))),
-      M.mkCompare(Kind::Lt, M.mkSub(std::vector<Term>{X, Y}),
-                  M.mkIntConst(BigInt(4))),
-      M.mkCompare(Kind::Ge, M.mkNeg(X), M.mkIntConst(BigInt(-9))),
-      M.mkCompare(Kind::Le, X, Y),
-      M.mkCompare(Kind::Le, X, M.mkIntConst(BigInt(4)))};
-  std::vector<RelFact> Facts = harvestRelationalFacts(M, Assertions);
-  ASSERT_GE(Facts.size(), 5u);
-
-  // The sum fact reads through an overflow-capable Add and remembers it.
-  const RelFact &Sum = Facts[0];
-  EXPECT_EQ(Sum.SX, 1);
-  EXPECT_EQ(Sum.SY, 1);
-  EXPECT_EQ(Sum.C, Q(7));
-  EXPECT_TRUE(Sum.HasSource);
-  EXPECT_EQ(Sum.SourceOp, Kind::Add);
-
-  // Strict Int comparison tightened by one on the Sub fact.
-  const RelFact &Diff = Facts[1];
-  EXPECT_EQ(Diff.SX, 1);
-  EXPECT_EQ(Diff.SY, -1);
-  EXPECT_EQ(Diff.C, Q(3));
-  EXPECT_TRUE(Diff.HasSource);
-  EXPECT_EQ(Diff.SourceOp, Kind::Sub);
-
-  // -x >= -9 is the unary fact x <= 9 through a Neg.
-  const RelFact &NegF = Facts[2];
-  EXPECT_EQ(NegF.SY, 0);
-  EXPECT_TRUE(NegF.HasSource);
-  EXPECT_EQ(NegF.SourceOp, Kind::Neg);
-
-  // Plain var-var and var-const atoms carry no source operation.
-  EXPECT_FALSE(Facts[3].HasSource);
-  EXPECT_FALSE(Facts[4].HasSource);
-}
-
-TEST(OctagonTest, GuardKeyNormalizesCommutativeOperands) {
-  EXPECT_EQ(makeGuardKey(Kind::BvSAddO, 9, 3), makeGuardKey(Kind::BvSAddO, 3, 9));
-  EXPECT_NE(makeGuardKey(Kind::BvSSubO, 9, 3), makeGuardKey(Kind::BvSSubO, 3, 9));
-}
-
-TEST(OctagonTest, RelationalOverflowOracleUsesPairBounds) {
-  // |x - y| <= 3 makes an 8-bit subtraction unguardable even though the
-  // per-variable projections are unbounded — exactly the refinement the
-  // interval-only oracle cannot make.
-  TermManager M;
-  Term X = M.mkVariable("x", Sort::integer());
-  Term Y = M.mkVariable("y", Sort::integer());
-  Octagon Oct;
-  Oct.addVariable(X.id());
-  Oct.addVariable(Y.id());
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), -1, 3)));
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), 1, 3)));
-  ASSERT_TRUE(Oct.close());
-  EXPECT_TRUE(relationalOverflowImpossible(M, Kind::BvSSubO, X, Y,
-                                           Interval::top(), Interval::top(),
-                                           8, Oct));
-  // No pair bound on the sum: x + y can still exceed the width range.
-  EXPECT_FALSE(relationalOverflowImpossible(M, Kind::BvSAddO, X, Y,
-                                            Interval::top(), Interval::top(),
-                                            8, Oct));
-}
-
-TEST(OctagonTest, InconsistentOctagonDischargesEveryGuard) {
-  TermManager M;
-  Term X = M.mkVariable("x", Sort::integer());
-  Term Y = M.mkVariable("y", Sort::integer());
-  Octagon Oct;
-  Oct.addVariable(X.id());
-  Oct.addVariable(Y.id());
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), 1, Y.id(), 1, 0)));
-  ASSERT_TRUE(Oct.addFact(fact(X.id(), -1, Y.id(), -1, -1)));
-  ASSERT_FALSE(Oct.close());
-  EXPECT_TRUE(relationalOverflowImpossible(M, Kind::BvSMulO, X, Y,
-                                           Interval::top(), Interval::top(),
-                                           8, Oct));
 }
 
 } // namespace

@@ -10,10 +10,8 @@
 /// the chosen width. Units pin exact elide/emit counts on hand-built
 /// constraints; a metamorphic check shows elision never changes the
 /// pipeline verdict; an aggregate check enforces the >= 20% elision rate
-/// on the benchgen Int suites that range facts were added for. Relational
-/// (octagon) elision is pinned per family on the correlated suite, a
-/// guard the pre-filter drops must still source facts for the others, and
-/// a stopped cancellation token keeps the guards not yet elided.
+/// on the benchgen Int suites that range facts were added for. The
+/// correlated suite's outcome is pinned per family.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,48 +157,22 @@ TEST(GuardElisionTest, IntSuiteElisionRateAtLeastTwentyPercent) {
       << "% fell below the 20% acceptance bar";
 }
 
-TEST(GuardElisionTest, PrefilteredKeptGuardsStillSourceFacts) {
-  // At width 8, x - y reaches -130, so the bvssubo guard is unprovable
-  // and the pre-filter drops it from the candidates; it stays in the
-  // output, so its fact x - y <= 3 is valid. With y <= 10 it bounds
-  // x <= 13, and x + 100 <= 113 fits: the bvsaddo guard must elide.
-  TermManager M;
-  Term X = M.mkVariable("gp_x", Sort::integer());
-  Term Y = M.mkVariable("gp_y", Sort::integer());
-  auto C = [&](int64_t V) { return M.mkIntConst(BigInt(V)); };
-  std::vector<Term> Assertions = {
-      M.mkCompare(Kind::Le, M.mkSub(std::vector<Term>{X, Y}), C(3)),
-      M.mkCompare(Kind::Le, Y, C(10)),
-      M.mkCompare(Kind::Ge, X, C(-120)),
-      M.mkCompare(Kind::Ge, Y, C(-120)),
-      M.mkCompare(Kind::Le, M.mkAdd(std::vector<Term>{X, C(100)}), C(120))};
-  TransformResult T = transformIntToBv(M, Assertions, 8);
-  ASSERT_TRUE(T.Ok);
-  EXPECT_EQ(T.RelationalGuardsElided, 1u);
-  ASSERT_EQ(T.Assertions.size(), T.TranslatedCount + 1);
-  Term Guard = T.Assertions.back();
-  ASSERT_EQ(M.kind(Guard), Kind::Not);
-  EXPECT_EQ(M.kind(M.child(Guard, 0)), Kind::BvSSubO);
-  analysis::LintReport Report =
-      analysis::lintTranslation(M, Assertions, T.Assertions, T.VariableMap);
-  EXPECT_TRUE(Report.clean()) << Report.toString();
-}
-
 /// The STAUB outcome every instance of one correlated-suite family gets.
 struct PinnedOutcome {
-  unsigned GuardsEmitted, GuardsElided, RelationalGuardsElided, ChosenWidth;
+  unsigned GuardsEmitted, GuardsElided, ChosenWidth;
   StaubPath Path;
 };
 
-TEST(GuardElisionTest, CorrelatedSuiteRelationalElisionIsPinned) {
+TEST(GuardElisionTest, CorrelatedSuiteOutcomeIsPinned) {
   // Cycles are decided by zone-closure presolve and translate nothing.
-  // A chain's guards all elide classically but one; a band's consumer
-  // bvssubo is the one guard only the octagon discharges.
+  // A chain's guards all elide by intervals but one. A band has no
+  // absolute bound, so none of its ten guards elides, and the guarded
+  // bounded solve verifies it.
   const std::map<std::string, PinnedOutcome> Expected = {
-      {"CorrNegCycle", {0, 0, 0, 0, StaubPath::PresolvedUnsat}},
-      {"CorrSatCycle", {0, 0, 0, 0, StaubPath::PresolvedSat}},
-      {"CorrChain", {1, 20, 0, 11, StaubPath::VerifiedSat}},
-      {"CorrBands", {9, 1, 1, 8, StaubPath::VerifiedSat}},
+      {"CorrNegCycle", {0, 0, 0, StaubPath::PresolvedUnsat}},
+      {"CorrSatCycle", {0, 0, 0, StaubPath::PresolvedSat}},
+      {"CorrChain", {1, 20, 11, StaubPath::VerifiedSat}},
+      {"CorrBands", {10, 0, 8, StaubPath::VerifiedSat}},
   };
   auto Mini = createMiniSmtSolver();
   StaubOptions Options;
@@ -217,7 +189,6 @@ TEST(GuardElisionTest, CorrelatedSuiteRelationalElisionIsPinned) {
       StaubOutcome O = runStaub(M, C.Assertions, *Mini, Options);
       EXPECT_EQ(O.GuardsEmitted, E.GuardsEmitted);
       EXPECT_EQ(O.GuardsElided, E.GuardsElided);
-      EXPECT_EQ(O.RelationalGuardsElided, E.RelationalGuardsElided);
       EXPECT_EQ(O.ChosenWidth, E.ChosenWidth);
       EXPECT_EQ(O.Path, E.Path) << toString(O.Path);
       analysis::LintReport Report =
@@ -225,47 +196,6 @@ TEST(GuardElisionTest, CorrelatedSuiteRelationalElisionIsPinned) {
       EXPECT_TRUE(Report.clean()) << Report.toString();
     }
   }
-}
-
-TEST(GuardElisionTest, RelationalElisionStopsOnCancellation) {
-  // Elision polls the query's token between candidates. A stopped token
-  // keeps every guard not yet elided, which is always sound and lints
-  // clean; a live token changes nothing.
-  auto Mini = createMiniSmtSolver();
-  BenchConfig Config;
-  Config.Seed = 42;
-  Config.Count = 24;
-  TermManager M;
-  for (const GeneratedConstraint &C : generateCorrelatedSuite(M, Config)) {
-    if (C.Family != "CorrBands")
-      continue;
-    StaubOptions Options;
-    Options.Solve.TimeoutSeconds = 20.0;
-    StaubOutcome Plain = runStaub(M, C.Assertions, *Mini, Options);
-    ASSERT_EQ(Plain.RelationalGuardsElided, 1u);
-
-    CancellationToken Live;
-    Options.Solve.Cancel = &Live;
-    StaubOutcome Same = runStaub(M, C.Assertions, *Mini, Options);
-    EXPECT_EQ(Same.RelationalGuardsElided, Plain.RelationalGuardsElided);
-    EXPECT_EQ(Same.GuardsEmitted, Plain.GuardsEmitted);
-    EXPECT_EQ(Same.GuardsElided, Plain.GuardsElided);
-    EXPECT_EQ(Same.BoundedAssertions, Plain.BoundedAssertions);
-    EXPECT_EQ(Same.Path, Plain.Path) << toString(Same.Path);
-
-    CancellationToken Stopped;
-    Stopped.cancel();
-    Options.Solve.Cancel = &Stopped;
-    StaubOutcome Kept = runStaub(M, C.Assertions, *Mini, Options);
-    EXPECT_EQ(Kept.RelationalGuardsElided, 0u);
-    EXPECT_EQ(Kept.GuardsEmitted, Plain.GuardsEmitted + 1);
-    EXPECT_EQ(Kept.GuardsElided, Plain.GuardsElided - 1);
-    analysis::LintReport Report =
-        analysis::lintBounded(M, Kept.BoundedAssertions);
-    EXPECT_TRUE(Report.clean()) << Report.toString();
-    return;
-  }
-  FAIL() << "the correlated suite has no CorrBands instance";
 }
 
 } // namespace

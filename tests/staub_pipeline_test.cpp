@@ -123,7 +123,7 @@ TEST(TransformTest, ChooseFpFormat) {
 
 TEST(TransformTest, ToolsTranslateAsRunStaubDoes) {
   // One translation path: what the tools emit and lint is exactly what
-  // runStaub solves with presolve off, under each width and guard policy.
+  // runStaub solves with presolve off, under each width policy.
   TermManager M;
   BenchConfig Config;
   Config.Seed = 42;
@@ -138,12 +138,10 @@ TEST(TransformTest, ToolsTranslateAsRunStaubDoes) {
   Default.Presolve = false;
   Default.Escalate = false; // The ladder reports the width it verified at.
   Default.Solve.TimeoutSeconds = 0.05;
-  StaubOptions Intervals = Default;
-  Intervals.Relational = false;
   StaubOptions Fixed = Default;
   Fixed.FixedWidth = 16;
-  unsigned Translated = 0, RelationalElided = 0;
-  for (const StaubOptions &Options : {Default, Intervals, Fixed}) {
+  unsigned Translated = 0;
+  for (const StaubOptions &Options : {Default, Fixed}) {
     for (const GeneratedConstraint &C : Inputs) {
       SCOPED_TRACE(C.Name);
       TransformResult T = translateAsParsed(M, C.Assertions, Options);
@@ -152,14 +150,12 @@ TEST(TransformTest, ToolsTranslateAsRunStaubDoes) {
       if (!T.Ok)
         continue;
       ++Translated;
-      RelationalElided += T.RelationalGuardsElided;
       EXPECT_EQ(T.Assertions, Outcome.BoundedAssertions);
       EXPECT_EQ(T.Width, Outcome.ChosenWidth);
       EXPECT_EQ(T.Format, Outcome.ChosenFormat);
     }
   }
-  EXPECT_GT(Translated, 2 * Inputs.size());
-  EXPECT_GT(RelationalElided, 0u); // The correlated suite needs octagons.
+  EXPECT_EQ(Translated, 2 * Inputs.size()); // Every input, both policies.
 }
 
 //===--------------------------------------------------------------------===//

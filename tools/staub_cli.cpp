@@ -32,11 +32,9 @@
 ///   --no-presolve         skip the interval-contraction presolver
 ///   --no-escalate         revert on bounded-unsat instead of escalating
 ///                         the width through an incremental session
-///   --no-relational       intervals only: skip the zone/octagon passes
-///                         in presolve, width refinement, and guard
-///                         elision (docs/ANALYSIS.md)
+///   --no-relational       skip presolve's zone closure (docs/ANALYSIS.md)
 ///   --stats               print timing decomposition + presolve,
-///                         escalation, relational, and per-lane counters
+///                         escalation, and per-lane counters
 ///
 /// Prints the status (sat/unsat/unknown) on stdout, followed by one
 /// `; var = value` line per declared variable when sat.
@@ -202,7 +200,6 @@ int main(int Argc, char **Argv) {
     if (Cli.Lint) {
       analysis::LintOptions LOpts;
       LOpts.RequireGuards = ToBitVectors; // The FP lane emits no guards.
-      LOpts.Relational = Options.Relational;
       analysis::LintReport Report = analysis::lintTranslation(
           Manager, Assertions, T.Assertions, T.VariableMap, LOpts);
       if (Report.Findings.empty())
@@ -264,9 +261,6 @@ int main(int Argc, char **Argv) {
                  "; escalation steps=%u session_blast_cache_hits=%llu\n",
                  Outcome.EscalationSteps,
                  static_cast<unsigned long long>(Outcome.SessionBlastCacheHits));
-    std::fprintf(stderr,
-                 "; relational zone_facts=%u relational_guards_elided=%u\n",
-                 Outcome.ZoneFactsHarvested, Outcome.RelationalGuardsElided);
     std::fprintf(stderr,
                  "; portfolio=%.4fs original=%.4fs staub=%.4fs winner=%s\n",
                  R.PortfolioSeconds, R.OriginalSeconds, R.StaubSeconds,
