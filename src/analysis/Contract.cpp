@@ -179,8 +179,6 @@ Tri cmpLt(const Interval &A, const Interval &B) {
   return Tri::Unknown;
 }
 
-bool isPoint(const Interval &I) { return I.isFinite() && I.Lo == I.Hi; }
-
 /// meet(A, B).Empty without building the meet, whose endpoints would be
 /// bignum copies: this is the hot test of every equality.
 bool disjoint(const Interval &A, const Interval &B) {
@@ -385,7 +383,7 @@ Tri IntervalEvaluator::tri(Term T) {
       const Interval &V = iv(M.child(T, I));
       if (disjoint(First, V))
         return Tri::False;
-      if (!(isPoint(First) && isPoint(V) && *First.Lo == *V.Lo))
+      if (!(First.isPoint() && V.isPoint() && *First.Lo == *V.Lo))
         AllEqualPoints = false;
     }
     return AllEqualPoints ? Tri::True : Tri::Unknown;
@@ -399,7 +397,7 @@ Tri IntervalEvaluator::tri(Term T) {
         const Interval &A = iv(M.child(T, I)), &B = iv(M.child(T, J));
         if (A.Empty || B.Empty)
           return Tri::Unknown;
-        if (isPoint(A) && isPoint(B) && *A.Lo == *B.Lo)
+        if (A.isPoint() && B.isPoint() && *A.Lo == *B.Lo)
           return Tri::False;
         if (!disjoint(A, B))
           AllDisjoint = false;

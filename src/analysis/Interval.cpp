@@ -224,29 +224,6 @@ bool analysis::overflowImpossible(Kind GuardKind, const Interval &A,
   }
 }
 
-Interval analysis::intervalFromKnownBits(const KnownBits &K) {
-  if (!K.hasInfo() || K.Width > 64)
-    return Interval::top();
-  uint64_t Mask = KnownBits::maskOf(K.Width);
-  uint64_t SignBit = uint64_t(1) << (K.Width - 1);
-  // With the sign bit unknown the unsigned envelope straddles the signed
-  // wrap point, so nothing better than top is sound.
-  if (SignBit & ~(K.Zero | K.One))
-    return Interval::top();
-  // Unsigned envelope: known ones set, everything not known-zero settable.
-  // Both endpoints carry the same (known) sign bit, so the unsigned
-  // ordering survives the signed reinterpretation.
-  uint64_t UMin = K.One;
-  uint64_t UMax = Mask & ~K.Zero;
-  auto Signed = [&](uint64_t U) {
-    if (K.Width == 64) // Two's-complement cast IS the signed value here.
-      return Rational(BigInt(static_cast<int64_t>(U)));
-    BigInt V(static_cast<int64_t>(U));
-    return U & SignBit ? Rational(V - BigInt::pow2(K.Width)) : Rational(V);
-  };
-  return Interval::range(Signed(UMin), Signed(UMax));
-}
-
 std::optional<Rational> analysis::numericConstOf(const TermManager &Manager,
                                                  Term T) {
   switch (Manager.kind(T)) {
@@ -259,18 +236,6 @@ std::optional<Rational> analysis::numericConstOf(const TermManager &Manager,
   default:
     return std::nullopt;
   }
-}
-
-bool analysis::overflowImpossible(Kind GuardKind, const Interval &A,
-                                  const Interval &B, unsigned Width,
-                                  const KnownBits &KA, const KnownBits &KB) {
-  Interval MA = meet(A, intervalFromKnownBits(KA));
-  Interval MB = meet(B, intervalFromKnownBits(KB));
-  // Contradictory facts mean the operand is unreachable; a guard on it
-  // can never fire.
-  if (MA.Empty || MB.Empty)
-    return true;
-  return overflowImpossible(GuardKind, MA, MB, Width);
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,7 +16,11 @@
 ///    overflow guards that provably cannot fire.
 ///  * On the bounded side, Lint.cpp uses it (BV nodes are intrinsically
 ///    clamped by their sort) to verify that every unguarded
-///    overflow-capable op is provably safe.
+///    overflow-capable op is provably safe, and to judge every guard as
+///    redundant (never fires) or contradictory (always fires).
+///
+/// Both sides ask overflowImpossible(), and nothing else, whether a guard
+/// can fire. Exact rational intervals work alike at every width.
 ///
 /// Transfer functions are deliberately *kind-parallel*: Add and BvAdd,
 /// IntMod and BvSRem, etc. compute the identical interval, and n-ary ops
@@ -40,7 +44,6 @@
 #ifndef STAUB_ANALYSIS_INTERVAL_H
 #define STAUB_ANALYSIS_INTERVAL_H
 
-#include "analysis/KnownBits.h"
 #include "smtlib/Term.h"
 #include "support/Rational.h"
 
@@ -75,6 +78,7 @@ struct Interval {
 
   bool isTop() const { return !Empty && !Lo && !Hi; }
   bool isFinite() const { return !Empty && Lo && Hi; }
+  bool isPoint() const { return isFinite() && Lo == Hi; }
   bool contains(const Rational &V) const;
   /// True when every value of this interval lies in [Low, High]. The
   /// empty interval is vacuously within any range.
@@ -114,27 +118,14 @@ std::optional<Rational> numericConstOf(const TermManager &Manager, Term T);
 
 /// Decides whether the overflow predicate \p GuardKind (BvSAddO, BvSSubO,
 /// BvSMulO, BvNegO, BvSDivO) provably cannot fire at \p Width given the
-/// operand intervals (\p B ignored for the unary BvNegO). This single
-/// function is called by both guard elision (Transform.cpp, Int-side
-/// intervals) and staub-lint (bounded-side intervals), so the two can
-/// never disagree on what is provable.
+/// operand intervals (\p B ignored for the unary BvNegO); true for an
+/// empty operand, which no model reaches. This single function is called
+/// by both guard elision (Transform.cpp, Int-side intervals) and
+/// staub-lint (bounded-side intervals), so the two can never disagree on
+/// what is provable. With point operands it is exact: false then means
+/// the predicate fires.
 bool overflowImpossible(Kind GuardKind, const Interval &A, const Interval &B,
                         unsigned Width);
-
-/// The signed-value interval a known-bits fact implies: with the sign bit
-/// known, the unknown bits span [known-ones, all-but-known-zeros]; with it
-/// unknown, top. Top (no info) for widths the domain does not track.
-Interval intervalFromKnownBits(const KnownBits &K);
-
-/// overflowImpossible with the operands' known-bits facts mixed in: each
-/// interval is met with the range its bit pattern implies before the
-/// 4-argument test runs, so mask/shift-heavy guards (e.g. operands
-/// produced by `bvand` with a constant) discharge even when the interval
-/// engine alone sees top. Pass KnownBits::top() where no facts exist —
-/// the result then degenerates to the 4-argument oracle exactly.
-bool overflowImpossible(Kind GuardKind, const Interval &A, const Interval &B,
-                        unsigned Width, const KnownBits &KA,
-                        const KnownBits &KB);
 
 /// Cap on analyzeIntervals()' variable-variable fact propagation rounds.
 /// Stopping early only widens intervals, which is always sound. One

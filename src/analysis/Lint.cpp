@@ -6,9 +6,7 @@
 
 #include "analysis/Lint.h"
 
-#include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
-#include "analysis/KnownBits.h"
 #include "smtlib/Printer.h"
 
 #include <map>
@@ -305,57 +303,6 @@ void collectGuards(const TermManager &M, Term Root,
 }
 
 //===----------------------------------------------------------------------===//
-// Exact guard evaluation via known bits
-//===----------------------------------------------------------------------===//
-
-int64_t signedValueOf(const KnownBits &K) {
-  uint64_t V = K.value();
-  if (K.Width < 64 && ((V >> (K.Width - 1)) & 1))
-    V |= ~KnownBits::maskOf(K.Width);
-  return static_cast<int64_t>(V);
-}
-
-/// Exactly decides whether \p Predicate fires, when both operands are
-/// fully known. nullopt when undecidable from the known bits.
-std::optional<bool> guardFires(Kind Predicate, const KnownBits &A,
-                               const KnownBits &B) {
-  if (!A.fullyKnown())
-    return std::nullopt;
-  unsigned W = A.Width;
-  int64_t SA = signedValueOf(A);
-  if (Predicate == Kind::BvNegO) {
-    // bvnego fires exactly on the asymmetric minimum.
-    if (W == 64)
-      return SA == INT64_MIN;
-    return SA == -(int64_t(1) << (W - 1));
-  }
-  if (!B.fullyKnown() || B.Width != W)
-    return std::nullopt;
-  int64_t SB = signedValueOf(B);
-  int64_t Min = W == 64 ? INT64_MIN : -(int64_t(1) << (W - 1));
-  int64_t Max = W == 64 ? INT64_MAX : (int64_t(1) << (W - 1)) - 1;
-  int64_t R = 0;
-  switch (Predicate) {
-  case Kind::BvSAddO:
-    if (__builtin_add_overflow(SA, SB, &R))
-      return true;
-    return R < Min || R > Max;
-  case Kind::BvSSubO:
-    if (__builtin_sub_overflow(SA, SB, &R))
-      return true;
-    return R < Min || R > Max;
-  case Kind::BvSMulO:
-    if (__builtin_mul_overflow(SA, SB, &R))
-      return true;
-    return R < Min || R > Max;
-  case Kind::BvSDivO:
-    return SA == Min && SB == -1;
-  default:
-    return std::nullopt;
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // The linter
 //===----------------------------------------------------------------------===//
 
@@ -363,8 +310,7 @@ class Linter {
 public:
   Linter(const TermManager &M, const std::vector<Term> &Assertions,
          const LintOptions &Options)
-      : M(M), Assertions(Assertions), Options(Options),
-        Bits(M, KnownBitsDomain(M)) {}
+      : M(M), Assertions(Assertions), Options(Options) {}
 
   LintReport run() {
     collectNodes();
@@ -465,12 +411,7 @@ private:
         const Interval &IA = Intervals.of(M.child(T, 0));
         const Interval &IB =
             N > 1 ? Intervals.of(M.child(T, 1)) : Interval::top();
-        // Known-bits facts join the interval facts: mask/shift-shaped
-        // operands ((bvand x #x0f), constant shifts) discharge guards the
-        // interval engine alone cannot.
-        bool Proven = overflowImpossible(
-            *Predicate, IA, IB, W, Bits.get(M.child(T, 0)),
-            N > 1 ? Bits.get(M.child(T, 1)) : KnownBits::top());
+        bool Proven = overflowImpossible(*Predicate, IA, IB, W);
         if (Hit != Guards.end()) {
           Hit->second.Matched = true;
           if (Proven)
@@ -496,11 +437,7 @@ private:
       Interval Acc = Intervals.of(M.child(T, 0));
       for (unsigned I = 1; I < N && Proven; ++I) {
         const Interval &Ci = Intervals.of(M.child(T, I));
-        // The accumulator is a synthetic interval with no bit pattern of
-        // its own; only the step operand contributes known bits.
-        if (!overflowImpossible(*Predicate, Acc, Ci, W, KnownBits::top(),
-                                Bits.get(M.child(T, I))))
-          Proven = false;
+        Proven = overflowImpossible(*Predicate, Acc, Ci, W);
         Kind K = M.kind(T);
         Interval Step = K == Kind::BvAdd   ? addI(Acc, Ci)
                         : K == Kind::BvSub ? subI(Acc, Ci)
@@ -522,12 +459,16 @@ private:
                  std::string(kindName(M.kind(Info.Predicate))) +
                  "-guarded operation: " + printTerm(M, Info.Predicate),
              Info.Predicate);
-      const KnownBits &A = Bits.get(M.child(Info.Predicate, 0));
-      KnownBits B = M.numChildren(Info.Predicate) > 1
-                        ? Bits.get(M.child(Info.Predicate, 1))
-                        : KnownBits::top();
-      if (auto Fires = guardFires(M.kind(Info.Predicate), A, B);
-          Fires && *Fires)
+      // With point operands the oracle is exact: when it cannot rule the
+      // overflow out, the guard fires in every model. IB is the last
+      // operand: A again for the unary BvNegO, whose B the oracle ignores.
+      Term A = M.child(Info.Predicate, 0);
+      const Interval &IA = Intervals.of(A);
+      const Interval &IB = Intervals.of(
+          M.child(Info.Predicate, M.numChildren(Info.Predicate) - 1));
+      if (IA.isPoint() && IB.isPoint() &&
+          !overflowImpossible(M.kind(Info.Predicate), IA, IB,
+                              M.sort(A).bitVecWidth()))
         warn("contradictory-guard",
              "guard provably always fires, making the constraint "
              "vacuously unsat: " +
@@ -539,7 +480,6 @@ private:
   const TermManager &M;
   const std::vector<Term> &Assertions;
   LintOptions Options;
-  DagAnalysis<KnownBitsDomain> Bits;
   std::vector<Term> AllNodes;
   LintReport Report;
 };

@@ -21,8 +21,9 @@
 ///    with their sorts (the exact bug class PR 2's fuzzer caught
 ///    dynamically);
 ///  * guard sanity — guards referencing no existing operation (orphans)
-///    and guards that provably always or never fire (via known-bits /
-///    intervals) are reported as warnings;
+///    and guards that provably never fire (overflowImpossible() holds) or
+///    always fire (it fails on point operand intervals, where it is
+///    exact) are reported as warnings;
 ///  * phi^-1 totality — every unbounded variable of the original
 ///    constraint has a bounded image in the variable map.
 ///

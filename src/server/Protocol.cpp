@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
@@ -197,8 +198,12 @@ std::string staub::server::formatQuery(const std::string &Id,
                                        const std::string &SmtLib,
                                        double TimeoutSeconds) {
   std::string Out = "query " + Id + " " + std::to_string(SmtLib.size());
-  if (TimeoutSeconds > 0)
-    Out += " timeout=" + std::to_string(TimeoutSeconds);
+  if (TimeoutSeconds > 0) {
+    // %.17g round-trips; six fixed decimals would send a tiny budget as 0.
+    char Buf[48];
+    std::snprintf(Buf, sizeof(Buf), " timeout=%.17g", TimeoutSeconds);
+    Out += Buf;
+  }
   Out += "\n";
   Out += SmtLib;
   Out += "\n";

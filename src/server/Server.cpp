@@ -303,15 +303,21 @@ void StaubServer::readerLoop(std::shared_ptr<Connection> Conn) {
       // ahead of the shutdown verb still fail cleanly below.
     } else if (F.Verb == "query") {
       const std::string &Id = F.Args.empty() ? "-" : F.Args[0];
-      double Timeout = Options.DefaultTimeoutSeconds;
-      for (size_t I = 2; I < F.Args.size(); ++I)
+      std::optional<double> Timeout = Options.DefaultTimeoutSeconds;
+      for (size_t I = 2; I < F.Args.size() && Timeout; ++I)
         if (F.Args[I].rfind("timeout=", 0) == 0)
-          Timeout = std::atof(F.Args[I].c_str() + 8);
+          Timeout = parseTimeoutSeconds(F.Args[I].substr(8));
+      if (!Timeout) {
+        // The payload is already read, so the stream stays in sync.
+        respond(*Conn, "error " + Id + " bad-timeout timeout= needs a finite "
+                                       "number of seconds above 0\n");
+        continue;
+      }
       Job J;
       J.Conn = Conn;
       J.Id = Id;
       J.SmtLib = std::move(F.Payload);
-      J.TimeoutSeconds = Timeout > 0 ? Timeout : Options.DefaultTimeoutSeconds;
+      J.TimeoutSeconds = *Timeout;
       bool Rejected = false;
       {
         std::lock_guard<std::mutex> Lock(Mutex);

@@ -20,7 +20,10 @@
 #include "support/Cancellation.h"
 #include "theory/Evaluator.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,6 +62,17 @@ struct SolverOptions {
   /// Never read; perfbench names it.
   SharedSolveCaches *Shared = nullptr;
 };
+
+/// Reads a solve budget given from outside the program (a `--timeout`
+/// flag, a staubd `timeout=` token): the whole of \p Text must spell a
+/// finite number of seconds above 0; nullopt otherwise.
+inline std::optional<double> parseTimeoutSeconds(const std::string &Text) {
+  char *End = nullptr;
+  double Seconds = std::strtod(Text.c_str(), &End);
+  if (*End != '\0' || !std::isfinite(Seconds) || Seconds <= 0)
+    return std::nullopt;
+  return Seconds;
+}
 
 /// Result of a solve call. TheModel is meaningful only when Status is Sat.
 struct SolveResult {

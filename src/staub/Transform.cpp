@@ -111,13 +111,7 @@ private:
   /// side, so every kept guard is one lint cannot discharge either.
   void guard(Kind Predicate, std::vector<Term> Args, const Interval &A,
              const Interval &B = Interval::top()) {
-    // Unbounded-side Int terms carry no bit-level facts, so the shared
-    // oracle runs with top known-bits; lint's bounded-side replay may know
-    // more (mask patterns) and can only discharge a superset.
-    if (Intervals &&
-        analysis::overflowImpossible(Predicate, A, B, Width,
-                                     analysis::KnownBits::top(),
-                                     analysis::KnownBits::top())) {
+    if (Intervals && analysis::overflowImpossible(Predicate, A, B, Width)) {
       ++GuardsElided;
       return;
     }

@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <poll.h>
 #include <sstream>
 #include <sys/wait.h>
@@ -171,8 +172,10 @@ public:
       if (Remaining <= 0 || stopRequested(Options.Cancel))
         break;
       // With a cancellation token, cap each poll so the token is observed
-      // within ~20ms; otherwise sleep until the deadline.
-      int PollMs = static_cast<int>(Remaining * 1000) + 1;
+      // within ~20ms; otherwise sleep until the deadline, or as long as an
+      // int allows when the budget is longer than that.
+      double MaxPollMs = std::numeric_limits<int>::max() - 1;
+      int PollMs = static_cast<int>(std::min(MaxPollMs, Remaining * 1000)) + 1;
       if (Options.Cancel)
         PollMs = std::min(PollMs, 20);
       struct pollfd Pfd = {Pipe[0], POLLIN, 0};

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -451,8 +452,10 @@ public:
                     const SolverOptions &Options) override {
     WallTimer Timer;
     SolveResult Result;
+    // Clamped: past UINT_MAX ms (49.7 days) the cast would be undefined.
     unsigned TimeoutMs = static_cast<unsigned>(
-        std::max(1.0, Options.TimeoutSeconds * 1000.0));
+        std::min(std::max(1.0, Options.TimeoutSeconds * 1000.0),
+                 double(std::numeric_limits<unsigned>::max())));
     Z3Context Ctx(TimeoutMs);
     Z3_solver Solver = Z3_mk_solver(Ctx);
     Z3_solver_inc_ref(Ctx, Solver);

@@ -121,6 +121,20 @@ TEST(LintTest, AlwaysFiringGuardIsContradictoryWarning) {
   EXPECT_TRUE(hasCheck(Report, "contradictory-guard")) << Report.toString();
 }
 
+TEST(LintTest, PinnedOperandGuardIsContradictoryWarning) {
+  // (= v #x64) pins v to 100, so (bvsaddo v v) at width 8 fires in every
+  // model: the operand interval is a point, and at points the interval
+  // oracle is exact.
+  TermManager M;
+  Term V = M.mkVariable("lq_v", Sort::bitVec(8));
+  std::vector<Term> Assertions = {
+      M.mkEq(V, M.mkBitVecConst(BitVecValue(8, BigInt(100)))),
+      M.mkNot(M.mkApp(Kind::BvSAddO, std::vector<Term>{V, V}))};
+  LintReport Report = lintBounded(M, Assertions);
+  EXPECT_TRUE(Report.clean()) << Report.toString();
+  EXPECT_TRUE(hasCheck(Report, "contradictory-guard")) << Report.toString();
+}
+
 TEST(LintTest, ForeignBoundedScriptNeedsNoGuards) {
   TermManager M;
   Term A = M.mkVariable("lf_a", Sort::bitVec(16));
@@ -135,35 +149,10 @@ TEST(LintTest, ForeignBoundedScriptNeedsNoGuards) {
       << "with guards required, the unguarded bvadd must be flagged";
 }
 
-TEST(LintTest, MaskedOperandsDischargeGuardViaKnownBits) {
-  // (bvadd (bvand a #x0f) (bvand b #x0f)) at width 8: the interval engine
-  // sees top for both operands, but known-bits proves the high nibble is
-  // zero, so the sum lies in [0, 30] and cannot overflow. The unguarded
-  // op must lint clean even with guards required.
-  TermManager M;
-  Term A = M.mkVariable("lm_a", Sort::bitVec(8));
-  Term B = M.mkVariable("lm_b", Sort::bitVec(8));
-  Term Mask = M.mkBitVecConst(BitVecValue(8, BigInt(15)));
-  Term MaskedA = M.mkApp(Kind::BvAnd, std::vector<Term>{A, Mask});
-  Term MaskedB = M.mkApp(Kind::BvAnd, std::vector<Term>{B, Mask});
-  Term Sum = M.mkApp(Kind::BvAdd, std::vector<Term>{MaskedA, MaskedB});
-  std::vector<Term> Assertions = {
-      M.mkEq(Sum, M.mkBitVecConst(BitVecValue(8, BigInt(9))))};
-  EXPECT_TRUE(lintBounded(M, Assertions).clean())
-      << lintBounded(M, Assertions).toString();
-
-  // Without the mask the same unguarded bvadd is rightly flagged: the
-  // discharge really came from the bit-level facts.
-  std::vector<Term> Unmasked = {
-      M.mkEq(M.mkApp(Kind::BvAdd, std::vector<Term>{A, B}),
-             M.mkBitVecConst(BitVecValue(8, BigInt(9))))};
-  EXPECT_FALSE(lintBounded(M, Unmasked).clean());
-}
-
 TEST(LintTest, CorrelationAloneDoesNotDischargeAGuard) {
   // x <= y and y <= x bound x - y to [0, 0], but each operand alone spans
   // the whole 8-bit range. Lint discharges a guard by operand intervals
-  // and known bits only, so the unguarded bvsub is an error.
+  // only, so the unguarded bvsub is an error.
   TermManager M;
   Term X = M.mkVariable("lr_x", Sort::bitVec(8));
   Term Y = M.mkVariable("lr_y", Sort::bitVec(8));

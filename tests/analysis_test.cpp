@@ -7,14 +7,12 @@
 /// \file
 /// Units for the term-DAG analysis framework (analysis/): interval
 /// arithmetic and fact harvesting, the width domains as framework
-/// clients, known-bits propagation, and the memoization contract of
-/// DagAnalysis.
+/// clients, and the memoization contract of DagAnalysis.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
-#include "analysis/KnownBits.h"
 #include "analysis/Widths.h"
 
 #include <gtest/gtest.h>
@@ -217,50 +215,6 @@ TEST(DagAnalysisTest, MemoizesSharedSubdags) {
   // A second query over the same DAG adds nothing.
   A.get(Inner);
   EXPECT_EQ(A.memoSize(), M.dagSize(Outer));
-}
-
-//===--------------------------------------------------------------------===//
-// Known bits.
-//===--------------------------------------------------------------------===//
-
-TEST(KnownBitsTest, ConstantsFullyKnown) {
-  TermManager M;
-  Term C = M.mkBitVecConst(BitVecValue(8, BigInt(0xAB)));
-  DagAnalysis<KnownBitsDomain> A(M, KnownBitsDomain(M));
-  KnownBits K = A.get(C);
-  ASSERT_TRUE(K.fullyKnown());
-  EXPECT_EQ(K.value(), 0xABu);
-}
-
-TEST(KnownBitsTest, AndWithConstantClearsBits) {
-  TermManager M;
-  Term V = M.mkVariable("kb_v", Sort::bitVec(8));
-  Term Mask = M.mkBitVecConst(BitVecValue(8, BigInt(0xF0)));
-  Term And = M.mkApp(Kind::BvAnd, std::vector<Term>{V, Mask});
-  DagAnalysis<KnownBitsDomain> A(M, KnownBitsDomain(M));
-  KnownBits K = A.get(And);
-  ASSERT_TRUE(K.hasInfo());
-  EXPECT_FALSE(K.fullyKnown());
-  EXPECT_EQ(K.Zero & 0x0Fu, 0x0Fu) << "low nibble must be known zero";
-  EXPECT_EQ(K.One, 0u);
-}
-
-TEST(KnownBitsTest, ArithmeticOnFullyKnownOperandsWraps) {
-  TermManager M;
-  Term A = M.mkBitVecConst(BitVecValue(8, BigInt(200)));
-  Term B = M.mkBitVecConst(BitVecValue(8, BigInt(100)));
-  Term Sum = M.mkApp(Kind::BvAdd, std::vector<Term>{A, B});
-  DagAnalysis<KnownBitsDomain> An(M, KnownBitsDomain(M));
-  KnownBits K = An.get(Sum);
-  ASSERT_TRUE(K.fullyKnown());
-  EXPECT_EQ(K.value(), (200u + 100u) & 0xFFu);
-}
-
-TEST(KnownBitsTest, NonBitvectorTermsAreTop) {
-  TermManager M;
-  Term X = M.mkVariable("kb_i", Sort::integer());
-  DagAnalysis<KnownBitsDomain> A(M, KnownBitsDomain(M));
-  EXPECT_FALSE(A.get(X).hasInfo());
 }
 
 } // namespace

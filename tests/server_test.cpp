@@ -310,6 +310,24 @@ TEST(ServerEndToEndTest, GarbageLineGetsErrorAndConnectionSurvives) {
   ::close(Fd);
 }
 
+TEST(ServerEndToEndTest, NonFiniteTimeoutGetsErrorAndConnectionSurvives) {
+  // timeout=inf would run the query until its SAT search ended. The server
+  // answers an error without running it, and serves the next query on the
+  // same connection.
+  LiveServer Live;
+  int Fd = Live.connect();
+  std::string Payload = SatQuery;
+  ASSERT_TRUE(writeAll(Fd, "query q1 " + std::to_string(Payload.size()) +
+                               " timeout=inf\n" + Payload + "\n" +
+                               formatQuery("q2", SatQuery)));
+  std::string Buffer, Line;
+  ASSERT_TRUE(readResponseLine(Fd, Buffer, Line));
+  EXPECT_EQ(Line.substr(0, 21), "error q1 bad-timeout ") << Line;
+  ASSERT_TRUE(readResponseLine(Fd, Buffer, Line));
+  EXPECT_EQ(Line.substr(0, 13), "result q2 sat") << Line;
+  ::close(Fd);
+}
+
 TEST(ServerEndToEndTest, OversizedQueryClosesConnectionButServerLives) {
   LiveServer Live;
   int Fd = Live.connect();

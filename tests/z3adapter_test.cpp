@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace staub;
 
 namespace {
@@ -167,6 +169,28 @@ TEST(Z3AdapterTest, TimeoutReturnsUnknown) {
       0.05);
   EXPECT_EQ(R.Status, SolveStatus::Unknown);
   EXPECT_LT(Timer.elapsedSeconds(), 10.0);
+}
+
+TEST(Z3AdapterTest, BudgetPastTheMillisecondRangeIsClamped) {
+  // An infinite budget, or one past the adapters' integer milliseconds,
+  // is clamped rather than converted with undefined behaviour: both
+  // adapters answer as under any long budget.
+  for (double Timeout : {std::numeric_limits<double>::infinity(), 1e300}) {
+    std::vector<std::unique_ptr<SolverBackend>> Solvers;
+    Solvers.push_back(createZ3Solver());
+    Solvers.push_back(createZ3ProcessSolver());
+    for (auto &Solver : Solvers) {
+      TermManager M;
+      auto R = parseSmtLib(M, "(declare-fun x () Int)"
+                              "(assert (> x 5))(assert (< x 7))");
+      ASSERT_TRUE(R.Ok) << R.Error;
+      SolverOptions Options;
+      Options.TimeoutSeconds = Timeout;
+      SolveResult Result = Solver->solve(M, R.Parsed.Assertions, Options);
+      ASSERT_EQ(Result.Status, SolveStatus::Sat) << "budget " << Timeout;
+      EXPECT_TRUE(evaluatesToTrue(M, R.Parsed.conjoined(M), Result.TheModel));
+    }
+  }
 }
 
 TEST(Z3AdapterTest, OverflowPredicatesMatchExactSemantics) {

@@ -120,11 +120,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
       }
       Options.FixedWidth = static_cast<unsigned>(Width);
     } else if (Arg.rfind("--timeout=", 0) == 0) {
-      Options.TimeoutSeconds = std::atof(Arg.c_str() + 10);
-      if (Options.TimeoutSeconds <= 0) {
+      auto Seconds = parseTimeoutSeconds(Arg.substr(10));
+      if (!Seconds) {
         std::fprintf(stderr, "error: bad timeout '%s'\n", Arg.c_str());
         return false;
       }
+      Options.TimeoutSeconds = *Seconds;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       int Jobs = std::atoi(Arg.c_str() + 7);
       if (Jobs < 1) {

@@ -20,6 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Protocol.h"
+#include "solver/Solver.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -63,7 +64,13 @@ bool parseArgs(int Argc, char **Argv, ClientOptions &Options) {
       Options.UseTcp = true;
       Options.TcpPort = static_cast<uint16_t>(std::atoi(Arg.c_str() + 6));
     } else if (Arg.rfind("--timeout=", 0) == 0) {
-      Options.TimeoutSeconds = std::atof(Arg.c_str() + 10);
+      auto Seconds = staub::parseTimeoutSeconds(Arg.substr(10));
+      if (!Seconds) {
+        std::fprintf(stderr, "staub-client: bad timeout '%s'\n", Arg.c_str());
+        printUsage();
+        return false;
+      }
+      Options.TimeoutSeconds = *Seconds;
     } else if (Arg == "--ping") {
       Options.Ping = true;
     } else if (Arg == "--stats") {

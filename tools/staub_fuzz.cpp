@@ -90,13 +90,13 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Options) {
       }
       Options.Theory = *Theory;
     } else if (Arg.rfind("--solve-timeout=", 0) == 0) {
-      double S = std::atof(Arg.c_str() + 16);
-      if (S <= 0) {
+      auto S = parseTimeoutSeconds(Arg.substr(16));
+      if (!S) {
         std::fprintf(stderr, "error: bad --solve-timeout '%s'\n",
                      Arg.c_str());
         return false;
       }
-      Options.SolveTimeoutSeconds = S;
+      Options.SolveTimeoutSeconds = *S;
     } else if (Arg == "--use-z3") {
       Options.UseZ3 = true;
     } else if (Arg == "--no-portfolio") {

@@ -25,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
+#include "solver/Solver.h"
 
 #include <atomic>
 #include <chrono>
@@ -67,7 +68,13 @@ bool parseArgs(int Argc, char **Argv, DaemonOptions &Options) {
     } else if (Arg.rfind("--workers=", 0) == 0) {
       Options.Workers = static_cast<unsigned>(std::atoi(Arg.c_str() + 10));
     } else if (Arg.rfind("--timeout=", 0) == 0) {
-      Options.TimeoutSeconds = std::atof(Arg.c_str() + 10);
+      auto Seconds = parseTimeoutSeconds(Arg.substr(10));
+      if (!Seconds) {
+        std::fprintf(stderr, "staubd: bad timeout '%s'\n", Arg.c_str());
+        printUsage();
+        return false;
+      }
+      Options.TimeoutSeconds = *Seconds;
     } else if (Arg == "--stats") {
       Options.StatsMode = true;
     } else {
