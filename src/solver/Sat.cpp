@@ -16,6 +16,9 @@ using namespace staub;
 /// Room a watch list gets on its first push.
 static constexpr uint32_t MinWatchCapacity = 4;
 
+/// The longest clause addLits normalizes in a stack array.
+static constexpr size_t MaxShortClause = 8;
+
 /// The most buffer capacity a dying solver parks. A larger set is freed, so
 /// one huge query does not pin its memory for the rest of its thread's life.
 static constexpr size_t MaxParkedBytes = size_t(64) << 20;
@@ -185,18 +188,32 @@ bool SatSolver::addLits(const Lit *Lits, size_t Size) {
     return false;
   // Clauses may arrive between solve() calls (e.g. DPLL(T) blocking
   // clauses) while the trail still holds the last model; reset first.
-  backtrack(0);
+  if (decisionLevel() > 0)
+    backtrack(0);
 
-  // Normalize in place: drop duplicates and false literals, detect
-  // tautologies and satisfied clauses.
-  std::vector<Lit> &Clause = Buf.AddBuffer;
-  Clause.assign(Lits, Lits + Size);
-  std::sort(Clause.begin(), Clause.end(),
-            [](Lit A, Lit B) { return A.index() < B.index(); });
+  // Normalize a copy sorted by literal index: drop duplicates and false
+  // literals, detect tautologies and satisfied clauses. A short clause (a
+  // blasted gate's are 2 to 4 literals) is sorted by insertion in a stack
+  // array; only a long one goes through AddBuffer.
+  Lit Short[MaxShortClause];
+  Lit *Clause = Short;
+  if (Size <= MaxShortClause) {
+    for (size_t I = 0; I < Size; ++I) {
+      size_t J = I;
+      for (; J > 0 && Lits[I].index() < Clause[J - 1].index(); --J)
+        Clause[J] = Clause[J - 1];
+      Clause[J] = Lits[I];
+    }
+  } else {
+    Buf.AddBuffer.assign(Lits, Lits + Size);
+    std::sort(Buf.AddBuffer.begin(), Buf.AddBuffer.end(),
+              [](Lit A, Lit B) { return A.index() < B.index(); });
+    Clause = Buf.AddBuffer.data();
+  }
   size_t Kept = 0;
-  for (size_t I = 0; I < Clause.size(); ++I) {
+  for (size_t I = 0; I < Size; ++I) {
     Lit L = Clause[I];
-    if (I + 1 < Clause.size() && Clause[I + 1] == ~L)
+    if (I + 1 < Size && Clause[I + 1] == ~L)
       return true; // Tautology.
     if (I > 0 && Clause[I - 1] == L)
       continue;
@@ -220,7 +237,9 @@ bool SatSolver::addLits(const Lit *Lits, size_t Size) {
     }
     return true;
   }
-  watchClause(allocClause(Clause.data(), Kept, /*Learnt=*/false));
+  uint32_t Index = allocClause(Clause, Kept, /*Learnt=*/false);
+  pushWatch((~Clause[0]).index(), {Index, Clause[1]});
+  pushWatch((~Clause[1]).index(), {Index, Clause[0]});
   return true;
 }
 

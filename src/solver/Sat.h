@@ -193,7 +193,7 @@ private:
     std::vector<Clause> Clauses;
     std::vector<Lit> LitPool; ///< Every clause's literals, back to back.
     std::vector<uint32_t> FreeClauseSlots;
-    std::vector<Lit> AddBuffer;    ///< Scratch for normalizing added clauses.
+    std::vector<Lit> AddBuffer;    ///< Scratch for normalizing long clauses.
     std::vector<Lit> LearntBuffer; ///< Scratch for conflict analysis.
     std::vector<Watcher> WatchPool; ///< Every watch list, in slices.
     std::vector<WatchList> Watches; ///< Indexed by literal index.

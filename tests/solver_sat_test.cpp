@@ -445,6 +445,69 @@ TEST(SatTest, NormalizationThroughEveryEntryPoint) {
   EXPECT_EQ(S.solve(), SatStatus::Unsat);
 }
 
+/// Seeded clauses of 1 to 12 random literals, in no order: mostly 3-CNF,
+/// with a few units on distinct variables (so later clauses hold literals
+/// true or false at level 0), some binaries, some clauses longer than
+/// addLits' stack buffer, and a repeated literal or a complementary pair
+/// in some clauses.
+std::vector<std::vector<int>> mixedIntakeCnf(uint64_t Seed, unsigned NumVars,
+                                             unsigned NumClauses) {
+  SplitMix64 Rng(Seed);
+  std::vector<std::vector<int>> Clauses;
+  int NextUnitVar = 1;
+  for (unsigned I = 0; I < NumClauses; ++I) {
+    uint64_t Shape = Rng.below(160);
+    if (Shape == 0) {
+      Clauses.push_back({Rng.chance(1, 2) ? NextUnitVar : -NextUnitVar});
+      ++NextUnitVar;
+      continue;
+    }
+    unsigned Size = Shape < 5 ? 2 : Shape < 136 ? 3 : 4 + Rng.below(9);
+    std::vector<int> Clause;
+    for (unsigned J = 0; J < Size; ++J) {
+      int V = static_cast<int>(Rng.below(NumVars)) + 1;
+      Clause.push_back(Rng.chance(1, 2) ? V : -V);
+    }
+    if (Rng.chance(1, 6))
+      Clause.push_back(Clause[Rng.below(Size)]);
+    if (Rng.chance(1, 12))
+      Clause.insert(Clause.begin() + Rng.below(Size),
+                    -Clause[Rng.below(Size)]);
+    Clauses.push_back(Clause);
+  }
+  return Clauses;
+}
+
+// Clause intake normalizes short clauses in a stack array and long ones in
+// a heap buffer. Either way it must store the clauses, literal order and
+// watches the search saw before, so this search is pinned like the
+// PinnedSearch* ones: the first 500 clauses solve sat, and the other 440
+// arrive while that model is still on the trail and make the formula
+// unsat.
+TEST(SatTest, MixedIntakeSearchIsPinned) {
+  const unsigned NumVars = 200, Split = 500;
+  std::vector<std::vector<int>> Clauses = mixedIntakeCnf(2, NumVars, 940);
+  std::vector<std::vector<int>> First(Clauses.begin(),
+                                      Clauses.begin() + Split);
+  SatSolver S;
+  ASSERT_TRUE(loadCnf(S, NumVars, First));
+  EXPECT_EQ(S.solve(), SatStatus::Sat);
+  EXPECT_EQ(S.numConflicts(), 0u);
+  EXPECT_EQ(S.numPropagations(), 200u);
+  EXPECT_EQ(S.numDecisions(), 96u);
+  for (size_t I = Split; I < Clauses.size(); ++I) {
+    std::vector<Lit> Lits;
+    for (int L : Clauses[I])
+      Lits.push_back(Lit::fromDimacs(L));
+    ASSERT_TRUE(S.addClause(Lits)) << "clause " << I;
+  }
+  EXPECT_EQ(S.solve(), SatStatus::Unsat);
+  EXPECT_EQ(S.numConflicts(), 662u);
+  EXPECT_EQ(S.numPropagations(), 27055u);
+  EXPECT_EQ(S.numDecisions(), 910u);
+  EXPECT_EQ(S.numLearnts(), 653u);
+}
+
 TEST(SatTest, EmptyClauseIsUnsat) {
   SatSolver S;
   S.newVar();
