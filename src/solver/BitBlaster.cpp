@@ -6,6 +6,7 @@
 
 #include "solver/BitBlaster.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -17,7 +18,7 @@ BitBlaster::BitBlaster(const TermManager &Manager, SatSolver &Solver)
   Solver.addUnit(TrueLit);
 }
 
-Lit BitBlaster::fresh() { return Lit(Solver.newVar(), false); }
+Lit BitBlaster::fresh(bool Phase) { return Lit(Solver.newVar(Phase), false); }
 
 Lit BitBlaster::mkAnd(Lit A, Lit B) {
   if (A == falseLit() || B == falseLit())
@@ -30,7 +31,7 @@ Lit BitBlaster::mkAnd(Lit A, Lit B) {
     return A;
   if (A == ~B)
     return falseLit();
-  Lit Out = fresh();
+  Lit Out = fresh(phase(A) && phase(B));
   Solver.addBinary(~Out, A);
   Solver.addBinary(~Out, B);
   Solver.addTernary(Out, ~A, ~B);
@@ -52,7 +53,7 @@ Lit BitBlaster::mkXor(Lit A, Lit B) {
     return falseLit();
   if (A == ~B)
     return TrueLit;
-  Lit Out = fresh();
+  Lit Out = fresh(phase(A) != phase(B));
   Solver.addTernary(~Out, A, B);
   Solver.addTernary(~Out, ~A, ~B);
   Solver.addTernary(Out, ~A, B);
@@ -69,7 +70,7 @@ Lit BitBlaster::mkXor3(Lit A, Lit B, Lit C) {
       return mkXor(mkXor(X, Y), Z);
   }
   // One clause per input assignment, forcing Out to its parity.
-  Lit Out = fresh();
+  Lit Out = fresh(phase(A) != (phase(B) != phase(C)));
   for (unsigned Mask = 0; Mask < 8; ++Mask) {
     bool Odd = std::popcount(Mask) % 2;
     Solver.addClause({Mask & 1 ? ~A : A, Mask & 2 ? ~B : B,
@@ -90,7 +91,7 @@ Lit BitBlaster::mkMaj(Lit A, Lit B, Lit C) {
       return X == Y ? X : Z;
   }
   // Any two inputs true force Out; any two false forbid it.
-  Lit Out = fresh();
+  Lit Out = fresh(phase(A) + phase(B) + phase(C) >= 2);
   for (int I = 0; I < 3; ++I) {
     Lit X = In[I], Y = In[(I + 1) % 3];
     Solver.addTernary(~X, ~Y, Out);
@@ -106,7 +107,7 @@ Lit BitBlaster::mkIte(Lit Cond, Lit Then, Lit Else) {
     return Else;
   if (Then == Else)
     return Then;
-  Lit Out = fresh();
+  Lit Out = fresh(phase(Cond) ? phase(Then) : phase(Else));
   Solver.addTernary(~Cond, ~Then, Out);
   Solver.addTernary(~Cond, Then, ~Out);
   Solver.addTernary(Cond, ~Else, Out);
@@ -127,7 +128,8 @@ Lit BitBlaster::mkAndMany(const std::vector<Lit> &Inputs) {
     return TrueLit;
   if (Useful.size() == 1)
     return Useful[0];
-  Lit Out = fresh();
+  Lit Out = fresh(std::all_of(Useful.begin(), Useful.end(),
+                              [this](Lit L) { return phase(L); }));
   std::vector<Lit> LongClause = {Out};
   for (Lit L : Useful) {
     Solver.addBinary(~Out, L);

@@ -96,10 +96,13 @@ private:
   std::map<std::tuple<Kind, uint32_t, uint32_t>, GuardedCircuit> GuardedCache;
 
   Lit falseLit() const { return ~TrueLit; }
-  Lit fresh();
+  /// A fresh variable the search first tries in \p Phase.
+  Lit fresh(bool Phase = false);
   Lit constant(bool Value) { return Value ? TrueLit : falseLit(); }
+  bool phase(Lit L) const { return Solver.phase(L); }
 
-  // Gate constructors (each may introduce a fresh output literal).
+  // Gate constructors (each may introduce a fresh output literal, whose
+  // initial phase is the gate's value under its inputs' phases).
   Lit mkAnd(Lit A, Lit B);
   Lit mkOr(Lit A, Lit B);
   Lit mkXor(Lit A, Lit B);

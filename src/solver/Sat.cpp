@@ -61,13 +61,13 @@ SatSolver::~SatSolver() {
   Parked.emplace(std::move(Buf));
 }
 
-unsigned SatSolver::newVar() {
+unsigned SatSolver::newVar(bool InitialPhase) {
   ++VarCount;
   Buf.Assigns.push_back(LBool::Undef);
   Buf.Levels.push_back(0);
   Buf.Reasons.push_back(-1);
   Buf.Activities.push_back(0.0);
-  Buf.SavedPhases.push_back(false);
+  Buf.SavedPhases.push_back(InitialPhase);
   Buf.Seen.push_back(false);
   Buf.HeapPosition.push_back(-1);
   Buf.Watches.resize(2 * (VarCount + 1));
@@ -136,6 +136,15 @@ LBool SatSolver::value(Lit L) const {
     return LBool::Undef;
   bool IsTrue = (V == LBool::True) != L.negated();
   return IsTrue ? LBool::True : LBool::False;
+}
+
+bool SatSolver::phase(Lit L) const {
+  unsigned Var = L.var();
+  LBool V = Buf.Assigns[Var - 1];
+  bool VarPhase = V != LBool::Undef && Buf.Levels[Var - 1] == 0
+                      ? V == LBool::True
+                      : Buf.SavedPhases[Var - 1];
+  return VarPhase != L.negated();
 }
 
 bool SatSolver::modelValue(unsigned Var) const {

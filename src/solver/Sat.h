@@ -99,8 +99,14 @@ public:
   SatSolver(const SatSolver &) = delete;
   SatSolver &operator=(const SatSolver &) = delete;
 
-  /// Allocates a new variable and returns its index (1-based).
-  unsigned newVar();
+  /// Allocates a new variable and returns its index (1-based). The search
+  /// decides it \p InitialPhase first, until phase saving records the
+  /// value it last had.
+  unsigned newVar(bool InitialPhase = false);
+
+  /// The value the search would give \p L: its value if it is assigned at
+  /// level 0, else its variable's saved (at first, initial) phase.
+  bool phase(Lit L) const;
 
   /// Number of allocated variables.
   unsigned numVars() const { return VarCount; }

@@ -388,6 +388,51 @@ TEST(MiniSmtBvTest, ComparisonsAreTheBorrowOfTheWidenedSubtraction) {
   }
 }
 
+TEST(MiniSmtBvTest, FirstDescentEvaluatesTheCircuit) {
+  // Every gate the blaster creates starts in its value under its inputs'
+  // phases, and variable bits start false. With nothing asserted, the
+  // first descent is then the circuits' evaluation at the all-zero input:
+  // it meets no conflict. The gates are functions of the variable bits, so
+  // with x = y = 0 every gate holds its value there; the roots are read
+  // against the exact evaluator (a bitvector root through its equality
+  // with the evaluator's value).
+  for (unsigned Width : {4u, 8u, 16u}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    TermManager M;
+    Sort S = Sort::bitVec(Width);
+    Term X = M.mkVariable("x", S), Y = M.mkVariable("y", S);
+    const Term XY[] = {X, Y}, YX[] = {Y, X};
+    std::vector<Term> Roots;
+    for (Kind K : {Kind::BvAdd, Kind::BvSub, Kind::BvMul, Kind::BvUlt,
+                   Kind::BvSlt, Kind::BvSMulO, Kind::BvUDiv})
+      Roots.push_back(M.mkApp(K, XY));
+    Roots.push_back(M.mkIte(M.mkApp(Kind::BvUlt, YX), M.mkApp(Kind::BvSub, YX),
+                            M.mkApp(Kind::BvMul, YX)));
+    Model Zero;
+    Zero.set(X, Value(BitVecValue(Width)));
+    Zero.set(Y, Value(BitVecValue(Width)));
+
+    SatSolver Sat;
+    BitBlaster Blaster(M, Sat);
+    std::vector<std::pair<Term, Lit>> Reads;
+    for (Term Root : Roots) {
+      std::optional<Value> Expected = evaluate(M, Root, Zero);
+      ASSERT_TRUE(Expected);
+      Term Read = Expected->isBool()
+                      ? (Expected->asBool() ? Root : M.mkNot(Root))
+                      : M.mkEq(Root, M.mkBitVecConst(Expected->asBitVec()));
+      Reads.emplace_back(Root, Blaster.encodeBool(Read));
+    }
+    ASSERT_EQ(Sat.solve(), SatStatus::Sat);
+    EXPECT_EQ(Sat.numConflicts(), 0u);
+    Model Found = Blaster.extractModel({X, Y});
+    EXPECT_TRUE(Found.get(X)->asBitVec().isZero());
+    EXPECT_TRUE(Found.get(Y)->asBitVec().isZero());
+    for (auto [Root, L] : Reads)
+      EXPECT_EQ(Sat.value(L), LBool::True) << kindName(M.kind(Root));
+  }
+}
+
 //===--------------------------------------------------------------------===//
 // Linear integer arithmetic path.
 //===--------------------------------------------------------------------===//

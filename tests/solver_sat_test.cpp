@@ -508,6 +508,32 @@ TEST(SatTest, MixedIntakeSearchIsPinned) {
   EXPECT_EQ(S.numLearnts(), 653u);
 }
 
+// With no clauses the first descent decides every variable in its initial
+// phase, without a conflict; a variable given none starts false.
+TEST(SatTest, InitialPhaseDecidesFirst) {
+  SatSolver S;
+  const bool Phases[] = {true, false, true, true, false, true};
+  for (bool Phase : Phases)
+    S.newVar(Phase);
+  unsigned Unset = S.newVar();
+  for (unsigned V = 1; V <= std::size(Phases); ++V) {
+    EXPECT_EQ(S.phase(pos(V)), Phases[V - 1]);
+    EXPECT_EQ(S.phase(neg(V)), !Phases[V - 1]);
+  }
+  ASSERT_EQ(S.solve(), SatStatus::Sat);
+  EXPECT_EQ(S.numConflicts(), 0u);
+  for (unsigned V = 1; V <= std::size(Phases); ++V)
+    EXPECT_EQ(S.modelValue(V), Phases[V - 1]) << "var " << V;
+  EXPECT_FALSE(S.modelValue(Unset));
+
+  // A variable fixed at level 0 reads as its value, whatever its phase.
+  SatSolver Fixed;
+  unsigned A = Fixed.newVar(true);
+  Fixed.addUnit(neg(A));
+  EXPECT_FALSE(Fixed.phase(pos(A)));
+  EXPECT_TRUE(Fixed.phase(neg(A)));
+}
+
 TEST(SatTest, EmptyClauseIsUnsat) {
   SatSolver S;
   S.newVar();
