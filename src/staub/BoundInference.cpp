@@ -52,13 +52,12 @@ unsigned largestIntConstWidth(const TermManager &Manager,
 
 } // namespace
 
-IntBounds staub::inferIntBounds(
+unsigned staub::inferIntAssumption(
     const TermManager &Manager, const std::vector<Term> &Assertions,
     unsigned WidthCap,
     const std::unordered_map<uint32_t, analysis::Interval> *ContractedRanges) {
-  IntBounds Out;
-  Out.VariableAssumption =
-      capped(largestIntConstWidth(Manager, Assertions) + 1, WidthCap);
+  unsigned ConstWidth = largestIntConstWidth(Manager, Assertions);
+  unsigned Assumption = capped(ConstWidth + 1, WidthCap);
 
   // Presolve-contracted ranges can push the assumption *below* the classic
   // heuristic: when every Int variable has a finite contracted interval,
@@ -84,13 +83,20 @@ IntBounds staub::inferIntBounds(
       if (!AllFinite)
         break;
     }
-    if (AllFinite) {
-      unsigned Ranged = capped(
-          std::max(largestIntConstWidth(Manager, Assertions), VarWidth),
-          WidthCap);
-      Out.VariableAssumption = std::min(Out.VariableAssumption, Ranged);
-    }
+    if (AllFinite)
+      Assumption = std::min(
+          Assumption, capped(std::max(ConstWidth, VarWidth), WidthCap));
   }
+  return Assumption;
+}
+
+IntBounds staub::inferIntBounds(
+    const TermManager &Manager, const std::vector<Term> &Assertions,
+    unsigned WidthCap,
+    const std::unordered_map<uint32_t, analysis::Interval> *ContractedRanges) {
+  IntBounds Out;
+  Out.VariableAssumption =
+      inferIntAssumption(Manager, Assertions, WidthCap, ContractedRanges);
 
   // Refinement intervals: variables clamped to the assumption range,
   // var-const facts only (variable-variable propagation belongs to the

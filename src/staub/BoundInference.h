@@ -66,6 +66,15 @@ IntBounds inferIntBounds(
     const std::unordered_map<uint32_t, analysis::Interval> *ContractedRanges =
         nullptr);
 
+/// inferIntBounds(...).VariableAssumption alone: a scan for the largest
+/// constant (plus the contracted ranges), without the interval summary
+/// and width analysis that RootWidth needs.
+unsigned inferIntAssumption(
+    const TermManager &Manager, const std::vector<Term> &Assertions,
+    unsigned WidthCap = config::DefaultWidthCap,
+    const std::unordered_map<uint32_t, analysis::Interval> *ContractedRanges =
+        nullptr);
+
 /// Real abstract interpretation. The default caps are the ones the
 /// pipeline passes.
 RealBounds

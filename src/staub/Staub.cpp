@@ -73,11 +73,13 @@ TranslationTarget staub::chooseTarget(
   if (Sort == InputSort::Int) {
     if (Options.FixedWidth) {
       Target.Width = *Options.FixedWidth;
+    } else if (Options.UseRootWidth) {
+      Target.Width =
+          inferIntBounds(Manager, Assertions, Options.WidthCap, Ranges)
+              .RootWidth;
     } else {
-      IntBounds Bounds =
-          inferIntBounds(Manager, Assertions, Options.WidthCap, Ranges);
-      Target.Width = Options.UseRootWidth ? Bounds.RootWidth
-                                          : Bounds.VariableAssumption;
+      Target.Width =
+          inferIntAssumption(Manager, Assertions, Options.WidthCap, Ranges);
     }
   } else if (Options.FixedWidth) {
     // Fixed-width ablation for reals: interpret the width as the total

@@ -6,7 +6,10 @@
 
 #include "staub/BoundInference.h"
 
+#include "analysis/Presolve.h"
+#include "benchgen/Generators.h"
 #include "smtlib/Parser.h"
+#include "staub/Staub.h"
 
 #include <gtest/gtest.h>
 
@@ -88,6 +91,50 @@ RealBounds realBoundsOf(const char *Text) {
   auto R = parseSmtLib(M, Text);
   EXPECT_TRUE(R.Ok) << R.Error;
   return inferRealBounds(M, R.Parsed.Assertions);
+}
+
+// chooseTarget reads the assumption alone, from inferIntAssumption. It must
+// be inferIntBounds' VariableAssumption on every Int instance of the
+// generated, escalation and correlated suites: on the input without
+// ranges, and with presolve's ranges on the input and on the presolved
+// set, as runStaub's two chooseTarget calls see them.
+TEST(IntBoundsTest, AssumptionAloneMatchesFullInference) {
+  for (uint64_t Seed : {42u, 1009u}) {
+    TermManager M;
+    BenchConfig Config;
+    Config.Seed = Seed;
+    Config.Count = 24;
+    std::vector<GeneratedConstraint> Suite;
+    auto Append = [&Suite](std::vector<GeneratedConstraint> More) {
+      Suite.insert(Suite.end(), More.begin(), More.end());
+    };
+    for (BenchLogic Logic : {BenchLogic::QF_NIA, BenchLogic::QF_LIA,
+                             BenchLogic::QF_NRA, BenchLogic::QF_LRA})
+      Append(generateSuite(M, Logic, Config));
+    Append(generateEscalationSuite(M, Config));
+    Append(generateCorrelatedSuite(M, Config));
+    unsigned IntInstances = 0;
+    for (const GeneratedConstraint &C : Suite) {
+      if (selectSort(M, C.Assertions) != InputSort::Int)
+        continue;
+      ++IntInstances;
+      analysis::PresolveResult Pre = analysis::presolve(M, C.Assertions);
+      auto ExpectSame =
+          [&](const std::vector<Term> &Assertions,
+              const std::unordered_map<uint32_t, analysis::Interval> *Ranges) {
+            EXPECT_EQ(inferIntAssumption(M, Assertions, config::DefaultWidthCap,
+                                         Ranges),
+                      inferIntBounds(M, Assertions, config::DefaultWidthCap,
+                                     Ranges)
+                          .VariableAssumption)
+                << C.Name << " (seed " << Seed << ")";
+          };
+      ExpectSame(C.Assertions, nullptr);
+      ExpectSame(C.Assertions, &Pre.VarRanges);
+      ExpectSame(Pre.Assertions, &Pre.VarRanges);
+    }
+    EXPECT_GE(IntInstances, 4u * 24u) << "seed " << Seed;
+  }
 }
 
 TEST(RealBoundsTest, MagnitudeAndPrecision) {
