@@ -19,37 +19,77 @@
 ///                        the `--jobs N` command-line flag overrides it,
 ///                        and `--jobs 0` means one per hardware thread
 ///
+/// The timeout takes what `--timeout` takes (parseTimeoutSeconds; below
+/// 0.05 s it is raised to 0.05 s), the others whole numbers (a count at
+/// least 1). A bench given anything else exits 2 naming the setting.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAUB_BENCH_BENCHUTIL_H
 #define STAUB_BENCH_BENCHUTIL_H
 
 #include "benchgen/Generators.h"
+#include "solver/Solver.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 namespace staub {
 
+/// Exits 2, naming the setting \p Name and what it takes, when its text
+/// \p Text is not a valid value.
+[[noreturn]] inline void rejectBenchSetting(const char *Name,
+                                            const char *Text,
+                                            const char *Expected) {
+  std::fprintf(stderr, "error: %s '%s': expected %s\n", Name, Text, Expected);
+  std::exit(2);
+}
+
+/// The whole of \p Text as a whole number of at least \p Min (and at most
+/// \p Max); exits 2 naming \p Name otherwise.
+inline uint64_t parseBenchNumber(const char *Name, const char *Text,
+                                 uint64_t Min, uint64_t Max = UINT_MAX) {
+  char *End = nullptr;
+  errno = 0;
+  uint64_t Value = std::strtoull(Text, &End, 10);
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])) || *End != '\0' ||
+      errno == ERANGE || Value < Min || Value > Max)
+    rejectBenchSetting(Name, Text,
+                       Min ? "a whole number above 0" : "a whole number");
+  return Value;
+}
+
 inline double benchTimeoutSeconds() {
-  if (const char *Env = std::getenv("STAUB_BENCH_TIMEOUT"))
-    return std::max(0.05, std::atof(Env));
-  return 1.0;
+  const char *Env = std::getenv("STAUB_BENCH_TIMEOUT");
+  if (!Env)
+    return 1.0;
+  std::optional<double> Seconds = parseTimeoutSeconds(Env);
+  if (!Seconds)
+    rejectBenchSetting("STAUB_BENCH_TIMEOUT", Env,
+                       "a finite number of seconds above 0");
+  return std::max(0.05, *Seconds);
 }
 
 inline unsigned benchCount() {
   if (const char *Env = std::getenv("STAUB_BENCH_COUNT"))
-    return static_cast<unsigned>(std::max(1, std::atoi(Env)));
+    return static_cast<unsigned>(
+        parseBenchNumber("STAUB_BENCH_COUNT", Env, 1));
   return 24;
 }
 
 inline uint64_t benchSeed() {
   if (const char *Env = std::getenv("STAUB_BENCH_SEED"))
-    return static_cast<uint64_t>(std::atoll(Env));
+    return parseBenchNumber("STAUB_BENCH_SEED", Env, 0, UINT64_MAX);
   return 42;
 }
 
@@ -68,12 +108,12 @@ inline BenchConfig benchConfig() {
 inline unsigned benchJobs(int Argc = 0, char **Argv = nullptr) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      return static_cast<unsigned>(std::max(0, std::atoi(Argv[I + 1])));
+      return static_cast<unsigned>(parseBenchNumber("--jobs", Argv[I + 1], 0));
     if (std::strncmp(Argv[I], "--jobs=", 7) == 0)
-      return static_cast<unsigned>(std::max(0, std::atoi(Argv[I] + 7)));
+      return static_cast<unsigned>(parseBenchNumber("--jobs", Argv[I] + 7, 0));
   }
   if (const char *Env = std::getenv("STAUB_BENCH_JOBS"))
-    return static_cast<unsigned>(std::max(0, std::atoi(Env)));
+    return static_cast<unsigned>(parseBenchNumber("STAUB_BENCH_JOBS", Env, 0));
   return 1;
 }
 

@@ -43,6 +43,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 using namespace staub;
@@ -73,7 +74,14 @@ bool parseArgs(int Argc, char **Argv, FuzzOptions &Options) {
       }
       Options.Iterations = static_cast<unsigned>(N);
     } else if (Arg.rfind("--time-budget=", 0) == 0) {
-      Options.TimeBudgetSeconds = std::atof(Arg.c_str() + 14);
+      std::string Budget = Arg.substr(14);
+      auto S = Budget == "0" ? std::optional<double>(0.0)
+                             : parseTimeoutSeconds(Budget);
+      if (!S) {
+        std::fprintf(stderr, "error: bad --time-budget '%s'\n", Arg.c_str());
+        return false;
+      }
+      Options.TimeBudgetSeconds = *S;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       long N = std::atol(Arg.c_str() + 7);
       if (N < 0) {
