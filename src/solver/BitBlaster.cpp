@@ -31,7 +31,7 @@ Lit BitBlaster::mkAnd(Lit A, Lit B) {
     return A;
   if (A == ~B)
     return falseLit();
-  Lit Out = fresh(phase(A) && phase(B));
+  Lit Out = fresh(Solver.phase(A) && Solver.phase(B));
   Solver.addBinary(~Out, A);
   Solver.addBinary(~Out, B);
   Solver.addTernary(Out, ~A, ~B);
@@ -53,7 +53,7 @@ Lit BitBlaster::mkXor(Lit A, Lit B) {
     return falseLit();
   if (A == ~B)
     return TrueLit;
-  Lit Out = fresh(phase(A) != phase(B));
+  Lit Out = fresh(Solver.phase(A) != Solver.phase(B));
   Solver.addTernary(~Out, A, B);
   Solver.addTernary(~Out, ~A, ~B);
   Solver.addTernary(Out, ~A, B);
@@ -70,7 +70,8 @@ Lit BitBlaster::mkXor3(Lit A, Lit B, Lit C) {
       return mkXor(mkXor(X, Y), Z);
   }
   // One clause per input assignment, forcing Out to its parity.
-  Lit Out = fresh(phase(A) != (phase(B) != phase(C)));
+  Lit Out =
+      fresh(Solver.phase(A) != (Solver.phase(B) != Solver.phase(C)));
   for (unsigned Mask = 0; Mask < 8; ++Mask) {
     bool Odd = std::popcount(Mask) % 2;
     Solver.addClause({Mask & 1 ? ~A : A, Mask & 2 ? ~B : B,
@@ -91,7 +92,7 @@ Lit BitBlaster::mkMaj(Lit A, Lit B, Lit C) {
       return X == Y ? X : Z;
   }
   // Any two inputs true force Out; any two false forbid it.
-  Lit Out = fresh(phase(A) + phase(B) + phase(C) >= 2);
+  Lit Out = fresh(Solver.phase(A) + Solver.phase(B) + Solver.phase(C) >= 2);
   for (int I = 0; I < 3; ++I) {
     Lit X = In[I], Y = In[(I + 1) % 3];
     Solver.addTernary(~X, ~Y, Out);
@@ -107,7 +108,8 @@ Lit BitBlaster::mkIte(Lit Cond, Lit Then, Lit Else) {
     return Else;
   if (Then == Else)
     return Then;
-  Lit Out = fresh(phase(Cond) ? phase(Then) : phase(Else));
+  Lit Out =
+      fresh(Solver.phase(Cond) ? Solver.phase(Then) : Solver.phase(Else));
   Solver.addTernary(~Cond, ~Then, Out);
   Solver.addTernary(~Cond, Then, ~Out);
   Solver.addTernary(Cond, ~Else, Out);
@@ -129,7 +131,7 @@ Lit BitBlaster::mkAndMany(const std::vector<Lit> &Inputs) {
   if (Useful.size() == 1)
     return Useful[0];
   Lit Out = fresh(std::all_of(Useful.begin(), Useful.end(),
-                              [this](Lit L) { return phase(L); }));
+                              [this](Lit L) { return Solver.phase(L); }));
   std::vector<Lit> LongClause = {Out};
   for (Lit L : Useful) {
     Solver.addBinary(~Out, L);
@@ -252,10 +254,9 @@ Lit BitBlaster::equalWords(const Word &A, const Word &B) {
 Lit BitBlaster::ultWords(const Word &A, const Word &B) {
   // A < B iff the subtraction A - B borrows, i.e. A + ~B + 1 carries
   // nothing out of the top bit: the borrow chain is that sum's carry
-  // chain, complemented, and no difference bit is built. Each gate's
-  // variable is the carry rather than the borrow: the solver tries a
-  // fresh variable false first, and with borrow variables the escalation
-  // ladder's guard refutations took about three times as many conflicts
+  // chain, complemented, and no difference bit is built. A borrow
+  // variable would be each carry variable's complement; as every gate
+  // starts at its circuit value, that is the same search mirrored
   // (DESIGN.md).
   assert(A.size() == B.size() && "comparison width mismatch");
   Lit Carry = TrueLit;

@@ -23,6 +23,11 @@
 /// A constant or repeated gate input folds through the 2-input gates: a
 /// carry-in of 0 leaves an AND, a carry-in of 1 an OR.
 ///
+/// Every gate's fresh output starts in the phase of the gate's function
+/// under its inputs' phases (SatSolver::newVar), and variable bits start
+/// false, so the search's first descent evaluates the circuit at the
+/// all-zero input instead of trying every gate false.
+///
 /// The overflow guards add O(1) or O(W) gates to the operation they guard:
 /// - `bvsaddo`/`bvssubo` are an O(1) sign test on the sum: the operands'
 ///   effective signs agree (the subtrahend's is flipped) and the sum's
@@ -99,7 +104,6 @@ private:
   /// A fresh variable the search first tries in \p Phase.
   Lit fresh(bool Phase = false);
   Lit constant(bool Value) { return Value ? TrueLit : falseLit(); }
-  bool phase(Lit L) const { return Solver.phase(L); }
 
   // Gate constructors (each may introduce a fresh output literal, whose
   // initial phase is the gate's value under its inputs' phases).

@@ -246,9 +246,7 @@ bool SatSolver::addLits(const Lit *Lits, size_t Size) {
     }
     return true;
   }
-  uint32_t Index = allocClause(Clause, Kept, /*Learnt=*/false);
-  pushWatch((~Clause[0]).index(), {Index, Clause[1]});
-  pushWatch((~Clause[1]).index(), {Index, Clause[0]});
+  watchClause(allocClause(Clause, Kept, /*Learnt=*/false));
   return true;
 }
 

@@ -7,7 +7,8 @@
 /// \file
 /// A conflict-driven clause-learning SAT solver: two-watched-literal
 /// propagation, first-UIP conflict analysis, VSIDS-style activity
-/// decisions with phase saving, and Luby restarts. This is the engine
+/// decisions with phase saving (from an initial phase the caller may give
+/// each variable), and Luby restarts. This is the engine
 /// under MiniSMT's bit-blasting path and the boolean skeleton of its lazy
 /// arithmetic path — the substrate that makes bounded (bitvector)
 /// constraints fast, which is the performance gap STAUB's theory
@@ -17,7 +18,7 @@
 /// per clause or per literal: every clause's literals sit back to back in
 /// one literal pool, and every literal's watch list is a slice of one
 /// watch pool (see WatchList for when a list moves and what a push
-/// invalidates).
+/// invalidates). Intake normalizes a short clause in a stack array.
 ///
 /// Those pools and every other growable buffer outlive the solver: a dying
 /// solver clears them, keeps their capacity and parks them for the next
